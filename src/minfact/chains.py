@@ -216,6 +216,9 @@ def enumerate_sigma(n: int, k: int, cap: int = DEFAULT_CAP) -> list[Chain]:
         raise CapExceeded(
             f"enumeration of n={n}, k={k} has {expected} chains, over the cap {cap}"
         )
+    if k >= n:
+        # the DFS would walk every (n-1)-prefix before finding nothing
+        return []
     return list(_iter_sigma(n, k))
 
 

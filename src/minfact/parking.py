@@ -12,6 +12,17 @@ The process commutes with rotating every label by a constant, permuting the
 entries permutes the taken spaces as a multiset and fixes the residue, and
 when the residue is 1 every car parks strictly above its entry point.
 ``normalize`` applies the unique rotation that makes the residue 1.
+
+The residue needs no simulation.  Weight each space p by [p open] minus the
+number of cars that probe p first (a car entering after e probes e mod n + 1
+first), and let C(x) be the running sum of the weights over 1..x; C(n) = 1.
+No car reaches the leftover space r, so no arc ending just before r has more
+arrivals than open spaces, and as the k cars fill the other k open spaces,
+every arc starting just after r has at least as many.  That is, C(x) <= C(r)
+for x > r and C(x) < C(r) for x < r: the residue is the first point that
+maximises C.  This is the cycle lemma of Dvoretzky and Motzkin, as in
+Pollak's circular argument.  ``park`` and ``park_trace`` keep the simulation
+and are the oracle for it.
 """
 
 from __future__ import annotations
@@ -111,8 +122,26 @@ def park(inp: ParkingInput) -> ParkingOutcome:
 
 
 def residue(inp: ParkingInput) -> int:
-    """The single open space left over by the parking process."""
-    return park(inp).residue
+    """The single open space left over by the parking process.
+
+    The first maximiser of the running weight sum (module docstring).  Only
+    open spaces and first-probe points carry weight, so this costs
+    O(k log k) and never walks the n spaces.
+
+    >>> residue(ParkingInput(8, (1, 1, 3, 7), (1, 3, 5, 6, 7)))
+    7
+    """
+    n = inp.n
+    weight = dict.fromkeys(inp.open_spaces, 1)
+    for e in inp.entries:
+        p = e % n + 1
+        weight[p] = weight.get(p, 0) - 1
+    best, rho, running = 0, 0, 0
+    for p in sorted(weight):
+        running += weight[p]
+        if running > best:
+            best, rho = running, p
+    return rho
 
 
 def shift_value(x: int, t: int, n: int) -> int:
@@ -129,10 +158,8 @@ def shift_pair(
     for x in (*a, *b):
         if not 1 <= x <= n:
             raise ValueError(f"value {x} outside 1..{n}")
-    return (
-        tuple(shift_value(x, t, n) for x in a),
-        frozenset(shift_value(x, t, n) for x in b),
-    )
+    # shift_value inlined: verify rotates every pair of every fibre
+    return tuple((x - 1 + t) % n + 1 for x in a), frozenset((x - 1 + t) % n + 1 for x in b)
 
 
 def normalize(
@@ -141,12 +168,15 @@ def normalize(
     """Rotate the pair so its residue becomes 1.
 
     Returns the rotated pair and the applied shift, reduced into 0..n-1.
-    Rotating a residue-1 pair is the identity with shift 0.
+    Rotating a residue-1 pair is the identity with shift 0.  Raises
+    ``RuntimeError`` if the rotated pair's residue is not 1, which would be
+    a fault in this module, not in the input.
     """
     a = tuple(a)
     b = frozenset(b)
-    rho = residue(ParkingInput(n, a, b))
-    t = (1 - rho) % n
+    t = (1 - residue(ParkingInput(n, a, b))) % n
     a2, b2 = shift_pair(a, b, t, n)
-    assert residue(ParkingInput(n, a2, b2)) == 1
+    rho = residue(ParkingInput(n, a2, b2))
+    if rho != 1:
+        raise RuntimeError(f"normalize: rotating by {t} left residue {rho}, not 1")
     return a2, b2, t

@@ -95,10 +95,15 @@ def gamma(pair: PairAB) -> Chain:
     k <= n - 1).
     """
     a2, b2, _ = normalize(pair.a, pair.b, pair.n)
-    sorter = _stable_sorter(a2)
-    entries = tuple(sorted(a2))
-    taken = park(ParkingInput(pair.n, entries, b2)).spaces
-    sorted_chain = Chain.from_pairs(pair.n, zip(entries, taken))
+    return _gamma_normalized(pair.n, a2, b2)
+
+
+def _gamma_normalized(n: int, a: tuple[int, ...], b: frozenset[int]) -> Chain:
+    # gamma after the rotation: (a, b) must already have residue 1
+    sorter = _stable_sorter(a)
+    entries = tuple(sorted(a))
+    taken = park(ParkingInput(n, entries, b)).spaces
+    sorted_chain = Chain.from_pairs(n, zip(entries, taken))
     return apply_permutation(sorted_chain, sorter.inverse())
 
 
@@ -166,10 +171,17 @@ def verify(n: int, cap: int = DEFAULT_CAP) -> VerifyReport:
     """Cross-check the closed-form count and the fibre structure for every
     k in 0..n-1.
 
-    Per k: the enumerated chains must match the formula count; for every
-    enumerated chain the section must map back to it under ``gamma`` and
-    its fibre must consist of n distinct pairs, all mapping back, with
-    exactly one residue-1 pair among them.
+    Per k the enumerated chains must match the formula count.  For every
+    enumerated chain ``c`` with section ``s``:
+
+    - sections: the tail of ``gamma`` after the rotation maps ``s`` to ``c``;
+    - fibres: that holds, the n rotations of ``s`` are distinct, ``normalize``
+      takes each of them back to ``s``, and exactly one of them needs
+      shift 0, i.e. has residue 1.
+
+    ``gamma(p)`` is that tail applied to ``normalize(p)``, so these checks
+    imply ``gamma(p) == c`` for all n pairs of the orbit, at the cost of one
+    parking run per chain instead of one ``gamma`` per pair.
     """
     rows = []
     for k in range(n):
@@ -177,15 +189,16 @@ def verify(n: int, cap: int = DEFAULT_CAP) -> VerifyReport:
         sections_ok = True
         fibers_ok = True
         for c in chains:
-            pairs = fiber(c)
-            back = [gamma(p) == c for p in pairs]
-            if not back[0]:
-                sections_ok = False
-            if not (
-                len(set(pairs)) == n
-                and all(back)
-                and sum(p.residue() == 1 for p in pairs) == 1
-            ):
-                fibers_ok = False
+            s = section(c)
+            back = _gamma_normalized(n, s.a, s.b) == c
+            rotations = {shift_pair(s.a, s.b, t, n) for t in range(n)}
+            images = [normalize(a, b, n) for a, b in rotations]
+            sections_ok = sections_ok and back
+            fibers_ok = fibers_ok and (
+                back
+                and len(rotations) == n
+                and all((a, b) == (s.a, s.b) for a, b, _ in images)
+                and sum(t == 0 for _, _, t in images) == 1
+            )
         rows.append(VerifyRow(k, count_formula(n, k), len(chains), sections_ok, fibers_ok))
     return VerifyReport(n, tuple(rows))

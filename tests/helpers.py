@@ -12,8 +12,14 @@ from minfact import (
     ParkingInput,
     Permutation,
     Transposition,
+    VerifyReport,
+    VerifyRow,
     apply_generator,
+    count_formula,
     enumerate_sigma,
+    fiber,
+    gamma,
+    park,
     validate,
 )
 
@@ -45,6 +51,29 @@ def sigma(n: int, k: int) -> tuple[Chain, ...]:
 @lru_cache(maxsize=None)
 def sigma_all(n: int) -> tuple[Chain, ...]:
     return tuple(c for k in range(n) for c in sigma(n, k))
+
+
+def verify_oracle(n: int) -> VerifyReport:
+    """The per-pair ``verify``: ``gamma`` on all n pairs of every fibre, and
+    the residue of each pair from the parking simulation."""
+    rows = []
+    for k in range(n):
+        chains = enumerate_sigma(n, k)
+        sections_ok = True
+        fibers_ok = True
+        for c in chains:
+            pairs = fiber(c)
+            back = [gamma(p) == c for p in pairs]
+            if not back[0]:
+                sections_ok = False
+            if not (
+                len(set(pairs)) == n
+                and all(back)
+                and sum(park(ParkingInput(n, p.a, p.b)).residue == 1 for p in pairs) == 1
+            ):
+                fibers_ok = False
+        rows.append(VerifyRow(k, count_formula(n, k), len(chains), sections_ok, fibers_ok))
+    return VerifyReport(n, tuple(rows))
 
 
 def sorted_i_chains(n: int, k: int):

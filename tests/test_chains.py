@@ -1,3 +1,5 @@
+import time
+
 import pytest
 
 from minfact import (
@@ -119,6 +121,11 @@ class TestEnumerate:
             enumerate_sigma(8, 4, cap=1000)
         # a cap equal to the count is not exceeded
         assert len(enumerate_sigma(3, 1, cap=3)) == 3
+
+    def test_k_at_least_n_returns_at_once(self):
+        start = time.perf_counter()
+        assert enumerate_sigma(8, 8) == []
+        assert time.perf_counter() - start < 0.5
 
     def test_rejects_bad_arguments(self):
         with pytest.raises(ValueError):

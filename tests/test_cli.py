@@ -66,6 +66,10 @@ class TestEnumerate:
         assert len(rows) == 3
         assert all(row["n"] == 3 and len(row["steps"]) == 2 for row in rows)
 
+    def test_k_at_least_n_is_empty_under_small_cap(self, capsys):
+        assert run(["enumerate", "-n", "11", "-k", "11", "--cap", "10"]) == 0
+        assert capsys.readouterr().out == ""
+
     def test_cap_exceeded_is_domain_error(self, capsys):
         assert run(["enumerate", "-n", "8", "-k", "7", "--cap", "1000"]) == 1
         assert "error:" in capsys.readouterr().err

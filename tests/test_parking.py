@@ -1,3 +1,7 @@
+import os
+import random
+import subprocess
+import sys
 from collections import Counter
 from itertools import combinations, product
 
@@ -5,6 +9,7 @@ import pytest
 from hypothesis import given
 import hypothesis.strategies as st
 
+import minfact.parking
 from minfact import (
     ParkingInput,
     ParkingOutcome,
@@ -70,6 +75,26 @@ class TestResidue:
         assert residue(ParkingInput(6, (), {4})) == 4
         assert residue(ParkingInput(3, (1,), {2, 3})) == 3
 
+    # the closed form against the simulation it replaces
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+    def test_shadow_exhaustive(self, n):
+        for k in range(n):
+            for inp in _exhaustive_inputs(n, k):
+                assert residue(inp) == park_trace(inp)[0].residue, inp
+
+    @given(parking_inputs_st(max_n=30, max_k=29))
+    def test_shadow_random(self, inp):
+        assert residue(inp) == park_trace(inp)[0].residue
+
+    def test_shadow_sparse(self):
+        rng = random.Random(10_000)
+        n, k = 10_000, 8
+        for _ in range(5):
+            entries = tuple(rng.randint(1, n) for _ in range(k))
+            inp = ParkingInput(n, entries, frozenset(rng.sample(range(1, n + 1), k + 1)))
+            assert residue(inp) == park_trace(inp)[0].residue
+
 
 class TestShiftPair:
     def test_worked_example(self):
@@ -110,6 +135,30 @@ class TestNormalize:
     def test_idempotent(self):
         a, b, _ = normalize((4, 2, 2), {1, 2, 5, 6}, 6)
         assert normalize(a, b, 6) == (a, b, 0)
+
+    def test_wrong_rotation_raises(self, monkeypatch):
+        shift_pair = minfact.parking.shift_pair
+        monkeypatch.setattr(
+            minfact.parking, "shift_pair", lambda a, b, t, n: shift_pair(a, b, t + 1, n)
+        )
+        with pytest.raises(RuntimeError, match="residue"):
+            normalize((1, 3, 7, 1), {1, 3, 5, 6, 7}, 8)
+
+    def test_wrong_rotation_raises_under_optimize(self):
+        # python -O strips assert statements; the invariant check must survive
+        script = (
+            "import minfact.parking as P\n"
+            "shift = P.shift_pair\n"
+            "P.shift_pair = lambda a, b, t, n: shift(a, b, t + 1, n)\n"
+            "try:\n"
+            "    P.normalize((1, 3, 7, 1), {1, 3, 5, 6, 7}, 8)\n"
+            "except RuntimeError:\n"
+            "    raise SystemExit(3)\n"
+        )
+        src = os.path.dirname(os.path.dirname(minfact.parking.__file__))
+        env = {**os.environ, "PYTHONPATH": src}
+        done = subprocess.run([sys.executable, "-O", "-c", script], env=env, timeout=60)
+        assert done.returncode == 3
 
 
 def _exhaustive_inputs(n, k):

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given
 import hypothesis.strategies as st
 
+from minfact import surjection
 from minfact import (
     Chain,
     PairAB,
@@ -15,10 +16,12 @@ from minfact import (
     park,
     ParkingInput,
     section,
+    shift_pair,
     verify,
 )
+from minfact.cli import run
 
-from helpers import act_on_sequence, all_permutations, sigma, sigma_all
+from helpers import act_on_sequence, all_permutations, sigma, sigma_all, verify_oracle
 
 WORKED_PAIR = PairAB(8, (1, 3, 7, 1), (1, 3, 5, 6, 7))
 WORKED_CHAIN = Chain.parse("(3 8)(5 7)(1 8)(3 7)", 8)
@@ -198,3 +201,58 @@ class TestVerify:
         data = verify(2).to_json()
         assert data["passed"] is True
         assert data["rows"][1]["counts_match"] is True
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_matches_per_pair_oracle(self, n):
+        assert verify(n) == verify_oracle(n)
+
+
+class TestVerifyCanFail:
+    # each fault is planted in exactly one chain or pair of verify(4)
+
+    def _corrupt_gamma_once(self, monkeypatch):
+        real = surjection._gamma_normalized
+        victim = section(sigma(4, 2)[3])
+
+        def faulty(n, a, b):
+            c = real(n, a, b)
+            return Chain(n, c.steps[::-1]) if (a, b) == (victim.a, victim.b) else c
+
+        monkeypatch.setattr(surjection, "_gamma_normalized", faulty)
+
+    def _misrotate_once(self, monkeypatch):
+        real = surjection.normalize
+        victim = fiber(sigma(4, 3)[5])[2]
+
+        def faulty(a, b, n):
+            a2, b2, t = real(a, b, n)
+            if (tuple(a), frozenset(b)) == (victim.a, victim.b):
+                a2, b2 = shift_pair(a2, b2, 1, n)
+            return a2, b2, t
+
+        monkeypatch.setattr(surjection, "normalize", faulty)
+
+    def test_wrong_chain_fails_sections_and_fibres(self, monkeypatch):
+        self._corrupt_gamma_once(monkeypatch)
+        rows = verify(4).rows
+        assert [(r.sections_ok, r.fibers_ok) for r in rows] == [
+            (True, True), (True, True), (False, False), (True, True)
+        ]
+
+    def test_wrong_rotation_fails_fibres_only(self, monkeypatch):
+        self._misrotate_once(monkeypatch)
+        rows = verify(4).rows
+        assert [(r.sections_ok, r.fibers_ok) for r in rows] == [
+            (True, True), (True, True), (True, True), (True, False)
+        ]
+
+    @pytest.mark.parametrize(
+        "fault,k,marks",
+        [("_corrupt_gamma_once", 2, ["FAIL", "FAIL"]), ("_misrotate_once", 3, ["ok", "FAIL"])],
+    )
+    def test_cli_exits_one(self, fault, k, marks, monkeypatch, capsys):
+        getattr(self, fault)(monkeypatch)
+        assert run(["verify", "-n", "4"]) == 1
+        out = capsys.readouterr().out.splitlines()
+        assert out[1 + k].split()[-2:] == marks
+        assert out[-1] == "FAIL"
