@@ -23,6 +23,7 @@ from .chains import (
     enumerate_sigma,
     intermediate,
     involute,
+    iter_sigma,
     support,
     validate,
 )
@@ -69,6 +70,7 @@ __all__ = [
     "DEFAULT_CAP",
     "intermediate",
     "validate",
+    "iter_sigma",
     "enumerate_sigma",
     "involute",
     "support",

@@ -113,11 +113,15 @@ def apply_permutation(c: Chain, p: Permutation) -> Chain:
     return Chain(c.n, steps)
 
 
+def _stable_sorter(values: tuple[int, ...]) -> Permutation:
+    # p with p acting on ``values`` non-decreasing; ties keep their order
+    order = sorted(range(len(values)), key=lambda t: values[t])
+    return Permutation(tuple(t + 1 for t in order)).inverse()
+
+
 def sort_chain(c: Chain) -> tuple[Permutation, Chain]:
     """The stable sorting permutation ``p`` and the canonical orbit
     representative ``apply_permutation(c, p)``, whose i-sequence is the
     sorted i-sequence of ``c``.  Ties keep their original relative order."""
-    _require_member(c, "sort_chain")
-    order = sorted(range(len(c.steps)), key=lambda t: c.steps[t].i)
-    p = Permutation(tuple(t + 1 for t in order)).inverse()
+    p = _stable_sorter(projection(c))
     return p, apply_permutation(c, p)

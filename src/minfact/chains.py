@@ -5,18 +5,17 @@ A chain over {1, ..., n} is a finite sequence of transpositions
 those whose step product (right factor first) has norm exactly k and
 precedes the full cycle ``(1 2 ... n)``, which is the same as saying the
 chain extends to a product of n - 1 transpositions equal to the full cycle.
-``validate`` reports the membership conditions separately and
-``enumerate_sigma`` lists all members for given n and k.
+``validate`` reports the membership conditions separately, ``iter_sigma``
+streams all members for given n and k and ``enumerate_sigma`` lists them.
 """
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
 from .counting import count_formula
-from .perms import Permutation, Transposition, precedes
+from .perms import Permutation, Transposition, _cycle_groups, precedes
 
 __all__ = [
     "Chain",
@@ -25,6 +24,7 @@ __all__ = [
     "DEFAULT_CAP",
     "intermediate",
     "validate",
+    "iter_sigma",
     "enumerate_sigma",
     "involute",
     "support",
@@ -32,8 +32,6 @@ __all__ = [
 ]
 
 DEFAULT_CAP = 10_000_000
-
-_CYCLE_TOKEN = re.compile(r"\(([^()]*)\)")
 
 
 class CapExceeded(ValueError):
@@ -66,11 +64,8 @@ class Chain:
         The empty string and ``"()"`` denote the empty chain; pair entries
         may be separated by spaces or commas.
         """
-        if _CYCLE_TOKEN.sub("", text).strip():
-            raise ValueError(f"unparsable chain text: {text!r}")
         pairs = []
-        for body in _CYCLE_TOKEN.findall(text):
-            entries = [int(tok) for tok in re.split(r"[,\s]+", body.strip()) if tok]
+        for body, entries in _cycle_groups(text, "chain"):
             if not entries:
                 continue
             if len(entries) != 2:
@@ -79,8 +74,15 @@ class Chain:
         return cls.from_pairs(n, pairs)
 
     @classmethod
-    def from_json(cls, data: dict) -> Chain:
-        return cls.from_pairs(data["n"], data["steps"])
+    def from_json(cls, data: object) -> Chain:
+        """Build from decoded JSON ``{"n": 8, "steps": [[3, 8], ...]}``;
+        input of the wrong shape raises ValueError naming the field."""
+        n, steps = _json_fields(data, "chain", "n", "steps")
+        if not isinstance(steps, list) or not all(
+            isinstance(s, list) and len(s) == 2 for s in steps
+        ):
+            raise ValueError(f"field 'steps' must be a list of [i, j] pairs, got {steps!r}")
+        return cls.from_pairs(_json_int(n, "n"), [_json_ints(s, "steps") for s in steps])
 
     def to_json(self) -> dict:
         return {"n": self.n, "steps": [[t.i, t.j] for t in self.steps]}
@@ -93,6 +95,28 @@ class Chain:
 
     def __str__(self) -> str:
         return "".join(str(t) for t in self.steps)
+
+
+def _json_fields(data: object, what: str, *keys: str) -> list:
+    if not isinstance(data, dict):
+        raise ValueError(f"{what} JSON must be an object, got {type(data).__name__}")
+    for key in keys:
+        if key not in data:
+            raise ValueError(f"{what} JSON lacks the field {key!r}")
+    return [data[key] for key in keys]
+
+
+def _json_int(value: object, field: str) -> int:
+    # bool is a subclass of int, but JSON true and false are not numbers
+    if type(value) is not int:
+        raise ValueError(f"field {field!r} takes JSON integers, got {value!r}")
+    return value
+
+
+def _json_ints(value: object, field: str) -> list[int]:
+    if not isinstance(value, list):
+        raise ValueError(f"field {field!r} must be a list, got {value!r}")
+    return [_json_int(x, field) for x in value]
 
 
 @dataclass(frozen=True)
@@ -162,16 +186,34 @@ def _cycle_blocks(images: list[int], n: int) -> list[int]:
     return block
 
 
-def _iter_sigma(n: int, k: int) -> Iterator[Chain]:
+def iter_sigma(n: int, k: int, cap: int = DEFAULT_CAP) -> Iterator[Chain]:
+    """All k-prefixes over {1, ..., n}, lazily, in lexicographic step order.
+
+    The arguments and ``cap`` (:class:`CapExceeded`) are checked at the call,
+    not on the first ``next``; nothing is yielded when k >= n."""
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    if k < 0:
+        raise ValueError("k must be >= 0")
+    expected = count_formula(n, k)
+    if expected > cap:
+        raise CapExceeded(
+            f"enumeration of n={n}, k={k} has {expected} chains, over the cap {cap}"
+        )
+    if k >= n:
+        # the DFS would walk every (n-1)-prefix before finding nothing
+        return iter(())
     # Depth-first extension of valid prefixes, trying steps in lexicographic
-    # order.  gamma holds the running product (1-based one-line, slot 0
-    # unused) and phi = gamma^-1 * long_cycle with its inverse phi_inv.
-    # Appending (i, j) keeps the prefix property iff i and j lie in distinct
-    # cycles of gamma (the norm must grow by one) and in the same cycle of
-    # phi (the distance to the full cycle must shrink by one); both tests
-    # are O(1) against block ids recomputed once per node.  The equivalence
-    # with the from-scratch ``validate`` check is shadow-tested.
-    gamma = list(range(n + 1))
+    # order.  phi = gamma^-1 * long_cycle, for the running product gamma, is
+    # held in 1-based one-line form (slot 0 unused) with its inverse phi_inv.
+    # Appending (i, j) keeps the prefix property iff i and j lie in one cycle
+    # of phi.  Then phi' = (i j) phi splits that cycle, so norm(phi') =
+    # norm(phi) - 1, and the triangle inequality norm(gamma (i j)) + norm(phi')
+    # >= n - 1 = norm(gamma) + norm(phi) forces norm(gamma (i j)) =
+    # norm(gamma) + 1, since one transposition moves the norm by exactly one:
+    # i and j already lie in different cycles of gamma, so gamma is not kept.
+    # The test is O(1) against block ids recomputed once per node; its
+    # equivalence with ``validate`` is shadow-tested.
     phi = [0] + [x % n + 1 for x in range(1, n + 1)]
     phi_inv = [0] + [(x - 2) % n + 1 for x in range(1, n + 1)]
     steps: list[Transposition] = []
@@ -185,41 +227,22 @@ def _iter_sigma(n: int, k: int) -> Iterator[Chain]:
         if depth == k:
             yield Chain(n, tuple(steps))
             return
-        gamma_block = _cycle_blocks(gamma, n)
         phi_block = _cycle_blocks(phi, n)
         for i in range(1, n):
             for j in range(i + 1, n + 1):
-                if gamma_block[i] != gamma_block[j] and phi_block[i] == phi_block[j]:
-                    gamma[i], gamma[j] = gamma[j], gamma[i]
+                if phi_block[i] == phi_block[j]:
                     swap_phi_values(i, j)
                     steps.append(Transposition(i, j))
                     yield from extend(depth + 1)
                     steps.pop()
                     swap_phi_values(i, j)
-                    gamma[i], gamma[j] = gamma[j], gamma[i]
 
     return extend(0)
 
 
 def enumerate_sigma(n: int, k: int, cap: int = DEFAULT_CAP) -> list[Chain]:
-    """All k-prefixes over {1, ..., n}, in lexicographic step order.
-
-    The result is empty when k >= n.  Raises :class:`CapExceeded` when the
-    closed-form count exceeds ``cap``.
-    """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    if k < 0:
-        raise ValueError("k must be >= 0")
-    expected = count_formula(n, k)
-    if expected > cap:
-        raise CapExceeded(
-            f"enumeration of n={n}, k={k} has {expected} chains, over the cap {cap}"
-        )
-    if k >= n:
-        # the DFS would walk every (n-1)-prefix before finding nothing
-        return []
-    return list(_iter_sigma(n, k))
+    """All k-prefixes over {1, ..., n} as a list: ``list(iter_sigma(n, k, cap))``."""
+    return list(iter_sigma(n, k, cap))
 
 
 def involute(c: Chain) -> Chain:

@@ -4,18 +4,19 @@ Subcommands: enumerate, count, verify, validate, map, section, fiber, park,
 act, involute.  Chains are written ``"(3 8)(5 7)(1 8)(3 7)"`` or as JSON
 ``{"n": 8, "steps": [[3, 8], ...]}``; pairs use ``--a 1,3,7,1 --b
 1,3,5,6,7`` or JSON ``{"n": 8, "a": [...], "b": [...]}``.  Exit status is 0
-on success, 1 on domain errors (including a failed ``verify``), 2 on usage
-errors.
+on success, 1 on domain errors (including a failed ``verify``) and on a
+closed output pipe, 2 on usage errors.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from typing import Sequence
 
-from .chains import CapExceeded, Chain, DEFAULT_CAP, enumerate_sigma, involute, validate
+from .chains import CapExceeded, Chain, DEFAULT_CAP, involute, iter_sigma, validate
 from .counting import count_formula
 from .action import apply_generator, apply_permutation
 from .parking import ParkingInput, park_trace
@@ -78,7 +79,7 @@ def _cmd_count(args: argparse.Namespace) -> int:
 
 
 def _cmd_enumerate(args: argparse.Namespace) -> int:
-    for chain in enumerate_sigma(args.n, args.k, args.cap):
+    for chain in iter_sigma(args.n, args.k, args.cap):
         _print_chain(chain, args.format)
     return 0
 
@@ -262,11 +263,19 @@ def run(argv: Sequence[str] | None = None) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
-    except (CapExceeded, ValueError, KeyError) as exc:
-        # JSONDecodeError and missing JSON keys land here as well
+    except (CapExceeded, ValueError) as exc:
+        # JSONDecodeError and malformed JSON input land here as well
         print(f"error: {exc}", file=sys.stderr)
         return 1
 
 
 def main() -> None:
-    sys.exit(run())
+    try:
+        code = run()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader went away (``minfact enumerate ... | head``): point
+        # stdout at devnull so the flush at exit cannot fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        sys.exit(1)
+    sys.exit(code)

@@ -32,6 +32,16 @@ __all__ = [
 _CYCLE_TOKEN = re.compile(r"\(([^()]*)\)")
 
 
+def _cycle_groups(text: str, what: str) -> list[tuple[str, list[int]]]:
+    # (body, entries) per parenthesised group; entries split at spaces or commas
+    if _CYCLE_TOKEN.sub("", text).strip():
+        raise ValueError(f"unparsable {what} text: {text!r}")
+    return [
+        (body, [int(tok) for tok in re.split(r"[,\s]+", body.strip()) if tok])
+        for body in _CYCLE_TOKEN.findall(text)
+    ]
+
+
 @dataclass(frozen=True, order=True)
 class Transposition:
     """An unordered pair of the ground set, always written ``(i j)`` with i < j."""
@@ -134,14 +144,8 @@ class Permutation:
         separated by spaces or commas and cycles multiply right factor
         first.
         """
-        if _CYCLE_TOKEN.sub("", text).strip():
-            raise ValueError(f"unparsable permutation text: {text!r}")
-        cycles = []
-        for body in _CYCLE_TOKEN.findall(text):
-            entries = [int(tok) for tok in re.split(r"[,\s]+", body.strip()) if tok]
-            if entries:
-                cycles.append(entries)
-        return cls.from_cycles(n, cycles)
+        groups = _cycle_groups(text, "permutation")
+        return cls.from_cycles(n, [entries for _, entries in groups if entries])
 
     def __call__(self, x: int) -> int:
         if not 1 <= x <= self.n:

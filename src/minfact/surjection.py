@@ -18,18 +18,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .action import apply_permutation, projection, sort_chain
-from .chains import DEFAULT_CAP, Chain, enumerate_sigma
+from .action import _stable_sorter, apply_permutation, projection, sort_chain
+from .chains import DEFAULT_CAP, Chain, _json_fields, _json_int, _json_ints, iter_sigma
 from .counting import count_formula
 from .parking import ParkingInput, normalize, park, residue, shift_pair
-from .perms import Permutation
 
 __all__ = [
     "PairAB",
     "gamma",
     "section",
     "fiber",
-    "count_formula",
     "verify",
     "VerifyRow",
     "VerifyReport",
@@ -55,8 +53,11 @@ class PairAB:
         return len(self.a)
 
     @classmethod
-    def from_json(cls, data: dict) -> PairAB:
-        return cls(data["n"], tuple(data["a"]), frozenset(data["b"]))
+    def from_json(cls, data: object) -> PairAB:
+        """Build from decoded JSON ``{"n": 8, "a": [...], "b": [...]}``;
+        input of the wrong shape raises ValueError naming the field."""
+        n, a, b = _json_fields(data, "pair", "n", "a", "b")
+        return cls(_json_int(n, "n"), tuple(_json_ints(a, "a")), frozenset(_json_ints(b, "b")))
 
     def to_json(self) -> dict:
         return {"n": self.n, "a": list(self.a), "b": sorted(self.b)}
@@ -78,12 +79,6 @@ class PairAB:
     def orbit(self) -> list[PairAB]:
         """All n rotations of the pair; pairwise distinct."""
         return [self.shifted(t) for t in range(self.n)]
-
-
-def _stable_sorter(values: tuple[int, ...]) -> Permutation:
-    # p with p acting on ``values`` non-decreasing; ties keep their order
-    order = sorted(range(len(values)), key=lambda t: values[t])
-    return Permutation(tuple(t + 1 for t in order)).inverse()
 
 
 def gamma(pair: PairAB) -> Chain:
@@ -182,13 +177,18 @@ def verify(n: int, cap: int = DEFAULT_CAP) -> VerifyReport:
     ``gamma(p)`` is that tail applied to ``normalize(p)``, so these checks
     imply ``gamma(p) == c`` for all n pairs of the orbit, at the cost of one
     parking run per chain instead of one ``gamma`` per pair.
+
+    Raises :class:`CapExceeded` before any chain is made when the count of
+    some k exceeds ``cap``.
     """
+    streams = [iter_sigma(n, k, cap) for k in range(n)]
     rows = []
-    for k in range(n):
-        chains = enumerate_sigma(n, k, cap)
+    for k, chains in enumerate(streams):
+        enumerated = 0
         sections_ok = True
         fibers_ok = True
         for c in chains:
+            enumerated += 1
             s = section(c)
             back = _gamma_normalized(n, s.a, s.b) == c
             rotations = {shift_pair(s.a, s.b, t, n) for t in range(n)}
@@ -200,5 +200,5 @@ def verify(n: int, cap: int = DEFAULT_CAP) -> VerifyReport:
                 and all((a, b) == (s.a, s.b) for a, b, _ in images)
                 and sum(t == 0 for _, _, t in images) == 1
             )
-        rows.append(VerifyRow(k, count_formula(n, k), len(chains), sections_ok, fibers_ok))
+        rows.append(VerifyRow(k, count_formula(n, k), enumerated, sections_ok, fibers_ok))
     return VerifyReport(n, tuple(rows))

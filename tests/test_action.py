@@ -230,6 +230,10 @@ class TestSortChain:
         assert p == Permutation.parse("(1 2)", 2)
         assert d == Chain.from_pairs(3, [(1, 2), (2, 3)])
 
+    def test_rejects_non_member(self):
+        with pytest.raises(ValueError, match="requires a prefix chain"):
+            sort_chain(Chain.parse("(1 3)(2 4)", 4))
+
     @pytest.mark.parametrize("n", [3, 4, 5])
     def test_result_is_sorted_member(self, n):
         for c in sigma_all(n):

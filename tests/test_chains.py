@@ -11,6 +11,7 @@ from minfact import (
     enumerate_sigma,
     intermediate,
     involute,
+    iter_sigma,
     support,
     validate,
 )
@@ -110,7 +111,7 @@ class TestEnumerate:
         assert keys == sorted(keys)
         assert len(set(keys)) == len(keys)
 
-    @pytest.mark.parametrize("n,max_k", [(2, 2), (3, 3), (4, 4), (5, 3)])
+    @pytest.mark.parametrize("n,max_k", [(2, 2), (3, 3), (4, 4), (5, 3), (6, 4), (7, 3)])
     def test_shadow_against_brute_force(self, n, max_k):
         # the optimized DFS check must agree with filtering by validate
         for k in range(max_k + 1):
@@ -132,6 +133,20 @@ class TestEnumerate:
             enumerate_sigma(0, 1)
         with pytest.raises(ValueError):
             enumerate_sigma(3, -1)
+
+    def test_iter_sigma_checks_when_called(self):
+        # a generator function would raise only on the first next()
+        with pytest.raises(CapExceeded):
+            iter_sigma(8, 4, cap=1000)
+        with pytest.raises(ValueError):
+            iter_sigma(0, 1)
+
+    def test_iter_sigma_streams(self):
+        start = time.perf_counter()
+        first = next(iter_sigma(10, 6, cap=10**8))
+        assert time.perf_counter() - start < 0.5
+        assert str(first) == "(1 2)(2 3)(3 4)(4 5)(5 6)(6 7)"
+        assert list(iter_sigma(5, 3)) == list(sigma(5, 3))
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7])
     def test_prefixes_of_members_are_members(self, n):

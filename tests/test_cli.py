@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import minfact
 from minfact.cli import run
 
 
@@ -177,3 +182,56 @@ class TestExitCodes:
     def test_failed_verify_exits_one(self):
         # guard: verify propagates the cap as a domain error
         assert run(["verify", "-n", "9", "--cap", "10"]) == 1
+
+    @pytest.mark.parametrize(
+        "argv,names",
+        [
+            (["map", "--pair", "[1,2]"], "must be an object"),
+            (["map", "--pair", '"pair"'], "must be an object"),
+            (["map", "--pair", '{"n":8,"a":[1]}'], "'b'"),
+            (["map", "--pair", '{"n":8,"a":[1],"b":3}'], "'b'"),
+            (["map", "--pair", '{"n":3,"a":1,"b":[1,2]}'], "'a'"),
+            (["map", "--pair", '{"n":"3","a":[1],"b":[1,2]}'], "'n'"),
+            (["map", "--pair", '{"n":3,"a":[1.0],"b":[1,2]}'], "'a'"),
+            (["map", "--pair", '{"n":3,"a":[true],"b":[1,2]}'], "'a'"),
+            (["validate", "--chain", '{"n":"8","steps":[[3,8]]}'], "'n'"),
+            (["validate", "--chain", '{"n":true,"steps":[]}'], "'n'"),
+            (["validate", "--chain", '{"n":8.0,"steps":[]}'], "'n'"),
+            (["validate", "--chain", '{"n":8}'], "'steps'"),
+            (["validate", "--chain", '{"steps":[]}'], "'n'"),
+            (["validate", "--chain", '{"n":8,"steps":5}'], "'steps'"),
+            (["validate", "--chain", '{"n":8,"steps":[3,8]}'], "'steps'"),
+            (["validate", "--chain", '{"n":8,"steps":[[3,8,5]]}'], "'steps'"),
+            (["validate", "--chain", '{"n":8,"steps":[["3","8"]]}'], "'steps'"),
+            (["section", "--chain", '{"n":8,"steps":[[3,null]]}'], "'steps'"),
+        ],
+    )
+    def test_malformed_json_is_one_error_line(self, argv, names, capsys):
+        assert run(argv) == 1
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1
+        assert err.startswith("error:")
+        assert names in err
+        assert "Traceback" not in err
+
+
+def test_closed_pipe_ends_quietly():
+    # as in `minfact enumerate -n 8 -k 4 | head -n 1`
+    env = {**os.environ, "PYTHONPATH": str(Path(minfact.__file__).resolve().parents[1])}
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "minfact", "enumerate", "-n", "8", "-k", "4"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=env,
+    )
+    try:
+        assert proc.stdout.readline() == b"(1 2)(2 3)(3 4)(4 5)\n"
+        proc.stdout.close()
+        code = proc.wait(timeout=60)
+    finally:
+        proc.kill()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert code == 1
+    assert b"Traceback" not in err
+    assert len(err.splitlines()) <= 1

@@ -1,11 +1,13 @@
+import time
 from itertools import combinations, product
 
 import pytest
 from hypothesis import given
 import hypothesis.strategies as st
 
-from minfact import surjection
+from minfact import chains, surjection
 from minfact import (
+    CapExceeded,
     Chain,
     PairAB,
     apply_permutation,
@@ -17,6 +19,7 @@ from minfact import (
     ParkingInput,
     section,
     shift_pair,
+    sort_chain,
     verify,
 )
 from minfact.cli import run
@@ -205,6 +208,28 @@ class TestVerify:
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
     def test_matches_per_pair_oracle(self, n):
         assert verify(n) == verify_oracle(n)
+
+    def test_cap_is_checked_for_every_k_before_any_work(self):
+        start = time.perf_counter()
+        with pytest.raises(
+            CapExceeded, match=r"^enumeration of n=8, k=5 has 114688 chains, over the cap 30000$"
+        ):
+            verify(8, cap=30000)
+        assert time.perf_counter() - start < 1.0
+
+
+@pytest.mark.parametrize("call", [section, fiber, sort_chain])
+def test_membership_is_checked_once_per_call(call, monkeypatch):
+    checked = []
+    real = chains.validate
+
+    def counting(c):
+        checked.append(c)
+        return real(c)
+
+    monkeypatch.setattr(chains, "validate", counting)
+    call(WORKED_CHAIN)
+    assert checked == [WORKED_CHAIN]
 
 
 class TestVerifyCanFail:
