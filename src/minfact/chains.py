@@ -172,20 +172,6 @@ def _require_member(c: Chain, what: str) -> None:
         raise ValueError(f"{what} requires a prefix chain, got non-member {c!r}")
 
 
-def _cycle_blocks(images: list[int], n: int) -> list[int]:
-    """Cycle id per element (slot 0 unused) of a 1-based one-line array."""
-    block = [0] * (n + 1)
-    bid = 0
-    for start in range(1, n + 1):
-        if block[start] == 0:
-            bid += 1
-            x = start
-            while block[x] == 0:
-                block[x] = bid
-                x = images[x]
-    return block
-
-
 def iter_sigma(n: int, k: int, cap: int = DEFAULT_CAP) -> Iterator[Chain]:
     """All k-prefixes over {1, ..., n}, lazily, in lexicographic step order.
 
@@ -203,41 +189,38 @@ def iter_sigma(n: int, k: int, cap: int = DEFAULT_CAP) -> Iterator[Chain]:
     if k >= n:
         # the DFS would walk every (n-1)-prefix before finding nothing
         return iter(())
-    # Depth-first extension of valid prefixes, trying steps in lexicographic
-    # order.  phi = gamma^-1 * long_cycle, for the running product gamma, is
-    # held in 1-based one-line form (slot 0 unused) with its inverse phi_inv.
-    # Appending (i, j) keeps the prefix property iff i and j lie in one cycle
-    # of phi.  Then phi' = (i j) phi splits that cycle, so norm(phi') =
-    # norm(phi) - 1, and the triangle inequality norm(gamma (i j)) + norm(phi')
-    # >= n - 1 = norm(gamma) + norm(phi) forces norm(gamma (i j)) =
-    # norm(gamma) + 1, since one transposition moves the norm by exactly one:
-    # i and j already lie in different cycles of gamma, so gamma is not kept.
-    # The test is O(1) against block ids recomputed once per node; its
-    # equivalence with ``validate`` is shadow-tested.
-    phi = [0] + [x % n + 1 for x in range(1, n + 1)]
-    phi_inv = [0] + [(x - 2) % n + 1 for x in range(1, n + 1)]
+    # Depth-first extension of valid prefixes in lexicographic step order.
+    # phi = gamma^-1 * long_cycle, for the running product gamma, lies below
+    # the full cycle, so its cycles are increasing and noncrossing
+    # (``below_long_cycle_geometric``) and phi is held as its blocks, sorted
+    # tuples.  Appending (i, j) keeps the prefix property iff i and j share a
+    # block b: phi' = (i j) phi splits b at the positions s < t of i and j
+    # into b[s:t] and b[:s] + b[t:], so norm(phi') = norm(phi) - 1, and the
+    # triangle inequality norm(gamma (i j)) + norm(phi') >= n - 1 = norm(gamma)
+    # + norm(phi) forces norm(gamma (i j)) = norm(gamma) + 1 (one step moves
+    # the norm by one), so gamma is not kept.  The test's equivalence with
+    # ``validate`` is shadow-tested.
     steps: list[Transposition] = []
+    made: dict[tuple[int, int], Transposition] = {}
 
-    def swap_phi_values(i: int, j: int) -> None:
-        a, b = phi_inv[i], phi_inv[j]
-        phi[a], phi[b] = j, i
-        phi_inv[i], phi_inv[j] = b, a
-
-    def extend(depth: int) -> Iterator[Chain]:
-        if depth == k:
+    def extend(blocks: tuple[tuple[int, ...], ...]) -> Iterator[Chain]:
+        if len(steps) == k:
             yield Chain(n, tuple(steps))
             return
-        phi_block = _cycle_blocks(phi, n)
-        for i in range(1, n):
-            for j in range(i + 1, n + 1):
-                if phi_block[i] == phi_block[j]:
-                    swap_phi_values(i, j)
-                    steps.append(Transposition(i, j))
-                    yield from extend(depth + 1)
-                    steps.pop()
-                    swap_phi_values(i, j)
+        # a block's last point has no larger partner in it
+        for i, b, s in sorted(
+            (i, b, s) for b, block in enumerate(blocks) for s, i in enumerate(block[:-1])
+        ):
+            block, rest = blocks[b], blocks[:b] + blocks[b + 1:]
+            for t in range(s + 1, len(block)):
+                step = made.get((i, block[t])) or Transposition(i, block[t])
+                if steps:  # a root step never recurs: keep no C(n, 2) table at k = 1
+                    made[i, block[t]] = step
+                steps.append(step)
+                yield from extend(rest + (block[s:t], block[:s] + block[t:]))
+                steps.pop()
 
-    return extend(0)
+    return extend((tuple(range(1, n + 1)),))
 
 
 def enumerate_sigma(n: int, k: int, cap: int = DEFAULT_CAP) -> list[Chain]:

@@ -181,6 +181,8 @@ def verify(n: int, cap: int = DEFAULT_CAP) -> VerifyReport:
     Raises :class:`CapExceeded` before any chain is made when the count of
     some k exceeds ``cap``.
     """
+    if n < 1:
+        raise ValueError("n must be >= 1")
     streams = [iter_sigma(n, k, cap) for k in range(n)]
     rows = []
     for k, chains in enumerate(streams):

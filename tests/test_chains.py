@@ -1,3 +1,4 @@
+import hashlib
 import time
 
 import pytest
@@ -116,6 +117,30 @@ class TestEnumerate:
         # the optimized DFS check must agree with filtering by validate
         for k in range(max_k + 1):
             assert enumerate_sigma(n, k) == brute_sigma(n, k)
+
+    @pytest.mark.parametrize(
+        "n,k,digest",
+        [
+            (7, 0, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+            (7, 1, "887aeb8d07462e52aaac66a6a9d68c39dd2e1b4b7d653938ebaf4a532420490b"),
+            (7, 2, "cfb4b94480c02351f0aac4a0befb64a723b42f92be256abd697ae5c05a8b3970"),
+            (7, 3, "f74dd2ea98e3f525596be6a8018e097e851213fb25624445b60b9fe1eab5d47b"),
+            (7, 4, "f37a85bef7c5453807e109da1df5f1ec54b636a230bf7a88667575f12990a071"),
+            (7, 5, "c282f814b7c87572e262e8a9428afba5d58822bda59fe764fcba7bbcb8e0f415"),
+            (7, 6, "fe3e5fb2f95cc68b4f905dedb4b8b854827b69cff78877a66010907122c6cc53"),
+            (7, 7, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+            (8, 0, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+            (8, 1, "87e2ff7058c9e486f1243962ec555232e7c9c3d781c61e26748dd11d27888cb5"),
+            (8, 2, "8e27206939c3ed5f346fa8625bdab52598b97ab1fe0ca480ee9f96bdd167010f"),
+            (8, 3, "d41dae7916484033610c2bec89f0de59ef97cfa57f4e6b7409cb9cca76641e33"),
+            (8, 4, "1c4354c910b70047dd9a604ac0b8a646812527add05fe180212a389ed127eee9"),
+        ],
+    )
+    def test_order_pinned_beyond_brute_force(self, n, k, digest):
+        # the lexicographic order where brute force does not reach (it stops
+        # at n = 7, k = 3)
+        text = "\n".join(map(str, iter_sigma(n, k)))
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
 
     def test_cap_guard(self):
         with pytest.raises(CapExceeded):

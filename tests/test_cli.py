@@ -19,6 +19,18 @@ class TestCount:
         assert run(["count", "-n", "8", "-k", "4"]) == 0
         assert lines(capsys) == ["28672"]
 
+    def test_prints_counts_past_the_int_str_digit_limit(self, capsys):
+        # CPython refuses int <-> str past 4300 digits by default
+        assert run(["count", "-n", "10000", "-k", "1200"]) == 0
+        out = capsys.readouterr().out
+        digits = out.rstrip("\n")
+        assert out == digits + "\n" and digits.isdigit() and digits[0] != "0"
+        value = 0
+        for start in range(0, len(digits), 1000):
+            chunk = digits[start:start + 1000]
+            value = value * 10 ** len(chunk) + int(chunk)
+        assert value == minfact.count_formula(10000, 1200)
+
 
 class TestMapSectionFiber:
     def test_map_text(self, capsys):
@@ -93,6 +105,13 @@ class TestVerify:
         data = json.loads(lines(capsys)[0])
         assert data["passed"] is True
         assert [row["enumerated"] for row in data["rows"]] == [1, 3, 3]
+
+    @pytest.mark.parametrize("n", ["0", "-3"])
+    def test_rejects_n_below_one(self, n, capsys):
+        assert run(["verify", "-n", n]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: n must be >= 1\n"
 
 
 class TestValidate:
@@ -204,6 +223,8 @@ class TestExitCodes:
             (["validate", "--chain", '{"n":8,"steps":[[3,8,5]]}'], "'steps'"),
             (["validate", "--chain", '{"n":8,"steps":[["3","8"]]}'], "'steps'"),
             (["section", "--chain", '{"n":8,"steps":[[3,null]]}'], "'steps'"),
+            (["map", "--pair", "[" * 100_000], "nested too deeply"),
+            (["validate", "--chain", '{"n": 3, "steps": ' + "[" * 100_000], "nested too deeply"),
         ],
     )
     def test_malformed_json_is_one_error_line(self, argv, names, capsys):
@@ -235,3 +256,23 @@ def test_closed_pipe_ends_quietly():
     assert code == 1
     assert b"Traceback" not in err
     assert len(err.splitlines()) <= 1
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="needs Linux's RLIMIT_AS")
+def test_out_of_memory_is_one_error_line():
+    # as under `ulimit -v 400000`: the chain's one-line product of 10^8
+    # entries cannot be allocated
+    env = {**os.environ, "PYTHONPATH": str(Path(minfact.__file__).resolve().parents[1])}
+    limit = 400 * 2**20
+    code = (
+        "import resource; "
+        f"resource.setrlimit(resource.RLIMIT_AS, ({limit}, {limit})); "
+        "from minfact.cli import main; main()"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code, "validate", "-n", "100000000", "--chain", "()"],
+        capture_output=True,
+        env=env,
+        timeout=60,
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (1, b"", b"error: out of memory\n")

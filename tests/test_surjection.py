@@ -195,6 +195,11 @@ class TestVerify:
         assert report.passed
         assert [row.enumerated for row in report.rows] == [1]
 
+    @pytest.mark.parametrize("n", [0, -3])
+    def test_rejects_n_below_one(self, n):
+        with pytest.raises(ValueError, match=r"^n must be >= 1$"):
+            verify(n)
+
     def test_n5(self):
         report = verify(5)
         assert report.passed
