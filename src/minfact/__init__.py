@@ -7,6 +7,7 @@ moves, a circular parking process, and the surjection from (sequence, set)
 pairs onto prefixes whose fibres are rotation orbits of size n.
 """
 
+from . import action, chains, counting, parking, perms, surjection
 from .perms import (
     Permutation,
     Transposition,
@@ -58,43 +59,12 @@ from .surjection import (
 
 __version__ = "0.1.0"
 
+# the public names of every module, each imported above
 __all__ = [
-    "Permutation",
-    "Transposition",
-    "multiply",
-    "precedes",
-    "below_long_cycle_geometric",
-    "Chain",
-    "ValidityReport",
-    "CapExceeded",
-    "DEFAULT_CAP",
-    "intermediate",
-    "validate",
-    "iter_sigma",
-    "enumerate_sigma",
-    "involute",
-    "support",
-    "check_sorted_criterion",
-    "count_formula",
-    "projection",
-    "braid_step",
-    "apply_generator",
-    "apply_permutation",
-    "sort_chain",
-    "ParkingInput",
-    "ParkingOutcome",
-    "CarTrace",
-    "park",
-    "park_trace",
-    "residue",
-    "shift_value",
-    "shift_pair",
-    "normalize",
-    "PairAB",
-    "gamma",
-    "section",
-    "fiber",
-    "verify",
-    "VerifyReport",
-    "VerifyRow",
+    *perms.__all__,
+    *chains.__all__,
+    *counting.__all__,
+    *action.__all__,
+    *parking.__all__,
+    *surjection.__all__,
 ]

@@ -5,14 +5,18 @@ A chain over {1, ..., n} is a finite sequence of transpositions
 those whose step product (right factor first) has norm exactly k and
 precedes the full cycle ``(1 2 ... n)``, which is the same as saying the
 chain extends to a product of n - 1 transpositions equal to the full cycle.
-``validate`` reports the membership conditions separately, ``iter_sigma``
-streams all members for given n and k and ``enumerate_sigma`` lists them.
+``validate`` reports the membership conditions separately.
+
+One depth-first search over noncrossing blocks makes every member for given n
+and k, each from its parent by one step.  It is written once, as a fold:
+``iter_sigma`` folds it into a stream of chains, ``enumerate_sigma`` lists
+them, and ``minfact enumerate`` folds it into output lines.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator, TypeVar
 
 from .counting import count_formula
 from .perms import Permutation, Transposition, _cycle_groups, precedes
@@ -32,6 +36,7 @@ __all__ = [
 ]
 
 DEFAULT_CAP = 10_000_000
+T = TypeVar("T")
 
 
 class CapExceeded(ValueError):
@@ -172,55 +177,53 @@ def _require_member(c: Chain, what: str) -> None:
         raise ValueError(f"{what} requires a prefix chain, got non-member {c!r}")
 
 
-def iter_sigma(n: int, k: int, cap: int = DEFAULT_CAP) -> Iterator[Chain]:
-    """All k-prefixes over {1, ..., n}, lazily, in lexicographic step order.
-
-    The arguments and ``cap`` (:class:`CapExceeded`) are checked at the call,
-    not on the first ``next``; nothing is yielded when k >= n."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    if k < 0:
-        raise ValueError("k must be >= 0")
+def _walk(n: int, k: int, cap: int, root: T, grow: Callable[[T, int, int], T]) -> Iterator[T]:
+    """The DFS over the k-prefixes, folded: the empty chain is ``root`` and a
+    chain is ``grow(its parent, i, j)`` for its last step (i j).  Leaves come in
+    lexicographic step order; arguments and ``cap`` are checked at the call."""
     expected = count_formula(n, k)
     if expected > cap:
         raise CapExceeded(
             f"enumeration of n={n}, k={k} has {expected} chains, over the cap {cap}"
         )
-    if k >= n:
-        # the DFS would walk every (n-1)-prefix before finding nothing
-        return iter(())
-    # Depth-first extension of valid prefixes in lexicographic step order.
-    # phi = gamma^-1 * long_cycle, for the running product gamma, lies below
-    # the full cycle, so its cycles are increasing and noncrossing
-    # (``below_long_cycle_geometric``) and phi is held as its blocks, sorted
-    # tuples.  Appending (i, j) keeps the prefix property iff i and j share a
-    # block b: phi' = (i j) phi splits b at the positions s < t of i and j
-    # into b[s:t] and b[:s] + b[t:], so norm(phi') = norm(phi) - 1, and the
-    # triangle inequality norm(gamma (i j)) + norm(phi') >= n - 1 = norm(gamma)
-    # + norm(phi) forces norm(gamma (i j)) = norm(gamma) + 1 (one step moves
-    # the norm by one), so gamma is not kept.  The test's equivalence with
-    # ``validate`` is shadow-tested.
-    steps: list[Transposition] = []
-    made: dict[tuple[int, int], Transposition] = {}
+    if k == 0 or k >= n:  # one empty chain, or none: no blocks to build, whatever n is
+        return iter((root,) * expected)
 
-    def extend(blocks: tuple[tuple[int, ...], ...]) -> Iterator[Chain]:
-        if len(steps) == k:
-            yield Chain(n, tuple(steps))
-            return
+    # phi = gamma^-1 * long_cycle, for the running product gamma, lies below the
+    # full cycle, so its cycles are increasing and noncrossing and phi is held as
+    # its blocks, sorted tuples (``below_long_cycle_geometric``).  (i j) keeps the
+    # prefix property iff i and j share a block b: (i j) phi splits b at their
+    # positions s < t into b[s:t] and b[:s] + b[t:], one norm less, and then
+    # norm(gamma (i j)) + norm((i j) phi) >= n - 1 = norm(gamma) + norm(phi) makes
+    # gamma one norm more, so gamma is not kept.  Shadow-tested against ``validate``.
+    def extend(acc: T, blocks: tuple[tuple[int, ...], ...], depth: int) -> Iterator[T]:
         # a block's last point has no larger partner in it
         for i, b, s in sorted(
             (i, b, s) for b, block in enumerate(blocks) for s, i in enumerate(block[:-1])
         ):
             block, rest = blocks[b], blocks[:b] + blocks[b + 1:]
             for t in range(s + 1, len(block)):
-                step = made.get((i, block[t])) or Transposition(i, block[t])
-                if steps:  # a root step never recurs: keep no C(n, 2) table at k = 1
-                    made[i, block[t]] = step
-                steps.append(step)
-                yield from extend(rest + (block[s:t], block[:s] + block[t:]))
-                steps.pop()
+                child = grow(acc, i, block[t])
+                if depth == 1:  # leaves come from their parent's frame
+                    yield child
+                else:
+                    yield from extend(child, rest + (block[s:t], block[:s] + block[t:]), depth - 1)
 
-    return extend((tuple(range(1, n + 1)),))
+    return extend(root, (tuple(range(1, n + 1)),), k)
+
+
+def iter_sigma(n: int, k: int, cap: int = DEFAULT_CAP) -> Iterator[Chain]:
+    """All k-prefixes over {1, ..., n}, lazily, in lexicographic step order;
+    the arguments and ``cap`` (:class:`CapExceeded`) are checked at the call."""
+    made: dict[tuple[int, int], Transposition] = {}
+
+    def grow(steps: tuple[Transposition, ...], i: int, j: int) -> tuple[Transposition, ...]:
+        step = made.get((i, j)) or Transposition(i, j)
+        if steps:  # the root's steps are made once: keep no C(n, 2) table at k = 1
+            made[i, j] = step
+        return (*steps, step)
+
+    return (Chain(n, steps) for steps in _walk(n, k, cap, (), grow))
 
 
 def enumerate_sigma(n: int, k: int, cap: int = DEFAULT_CAP) -> list[Chain]:

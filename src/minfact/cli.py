@@ -16,7 +16,7 @@ import os
 import sys
 from typing import Sequence
 
-from .chains import CapExceeded, Chain, DEFAULT_CAP, involute, iter_sigma, validate
+from .chains import Chain, DEFAULT_CAP, _walk, involute, validate
 from .counting import count_formula
 from .action import apply_generator, apply_permutation
 from .parking import ParkingInput, park_trace
@@ -90,8 +90,14 @@ def _cmd_count(args: argparse.Namespace) -> int:
 
 
 def _cmd_enumerate(args: argparse.Namespace) -> int:
-    for chain in iter_sigma(args.n, args.k, args.cap):
-        _print_chain(chain, args.format)
+    # each line is its parent's line plus one step; JSON lines drop the first ", "
+    if args.format == "json":
+        head = f'{{"n": {args.n}, "steps": ['
+        lines = _walk(args.n, args.k, args.cap, "", lambda acc, i, j: f"{acc}, [{i}, {j}]")
+        sys.stdout.writelines(f"{head}{line[2:]}]}}\n" for line in lines)
+    else:
+        lines = _walk(args.n, args.k, args.cap, "", lambda acc, i, j: f"{acc}({i} {j})")
+        sys.stdout.writelines(f"{line}\n" for line in lines)
     return 0
 
 
@@ -274,8 +280,9 @@ def run(argv: Sequence[str] | None = None) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
-    except (CapExceeded, ValueError) as exc:
-        # JSONDecodeError and malformed JSON input land here as well
+    except (ValueError, OverflowError) as exc:
+        # CapExceeded, JSONDecodeError, malformed JSON input and an n past C's
+        # sizes land here
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except MemoryError:

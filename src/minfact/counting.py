@@ -22,6 +22,8 @@ def count_formula(n: int, k: int) -> int:
         raise ValueError("n must be >= 1")
     if k < 0:
         raise ValueError("k must be >= 0")
+    if k >= n:
+        return 0
     if k == 0:
         return 1
     return n ** (k - 1) * comb(n, k + 1)

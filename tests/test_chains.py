@@ -16,6 +16,7 @@ from minfact import (
     support,
     validate,
 )
+from minfact.cli import run
 
 from helpers import brute_sigma, sigma, sigma_all, sorted_i_chains
 
@@ -141,6 +142,14 @@ class TestEnumerate:
         # at n = 7, k = 3)
         text = "\n".join(map(str, iter_sigma(n, k)))
         assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+    def test_json_lines_pinned(self, capsys):
+        # the bytes of `minfact enumerate -n 8 -k 4 --format json`; the
+        # benchmark pins only the text format
+        assert run(["enumerate", "-n", "8", "-k", "4", "--format", "json"]) == 0
+        out = capsys.readouterr().out
+        digest = "0ceb2d2ce330c52035dc93160aec83db25c7bbe0dc132734c719e44f700ab8b0"
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
 
     def test_cap_guard(self):
         with pytest.raises(CapExceeded):

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -30,6 +31,12 @@ class TestCount:
             chunk = digits[start:start + 1000]
             value = value * 10 ** len(chunk) + int(chunk)
         assert value == minfact.count_formula(10000, 1200)
+
+    def test_k_at_least_n_is_zero_at_once(self, capsys):
+        start = time.perf_counter()
+        assert run(["count", "-n", "10", "-k", str(10**12)]) == 0
+        assert time.perf_counter() - start < 1.0
+        assert capsys.readouterr().out == "0\n"
 
 
 class TestMapSectionFiber:
@@ -90,6 +97,33 @@ class TestEnumerate:
     def test_cap_exceeded_is_domain_error(self, capsys):
         assert run(["enumerate", "-n", "8", "-k", "7", "--cap", "1000"]) == 1
         assert "error:" in capsys.readouterr().err
+
+    def test_k_at_least_n_is_empty_at_once(self, capsys):
+        start = time.perf_counter()
+        assert run(["enumerate", "-n", "3", "-k", str(10**12)]) == 0
+        assert time.perf_counter() - start < 1.0
+        assert capsys.readouterr() == ("", "")
+
+    @pytest.mark.parametrize(
+        "fmt,line",
+        [("text", ""), ("json", json.dumps({"n": 10**30, "steps": []}))],
+        ids=["text", "json"],
+    )
+    def test_k0_is_the_empty_chain_for_any_n(self, fmt, line, capsys):
+        start = time.perf_counter()
+        assert run(["enumerate", "-n", str(10**30), "-k", "0", "--format", fmt]) == 0
+        assert time.perf_counter() - start < 1.0
+        assert capsys.readouterr() == (line + "\n", "")
+
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_lines_match_the_chains(self, fmt, capsys):
+        # the lines are folded straight from the DFS; Chain rendering is the oracle
+        render = str if fmt == "text" else lambda c: json.dumps(c.to_json())
+        for n in range(1, 8):
+            for k in range(n + 1):
+                assert run(["enumerate", "-n", str(n), "-k", str(k), "--format", fmt]) == 0
+                expected = "".join(render(c) + "\n" for c in minfact.iter_sigma(n, k))
+                assert capsys.readouterr() == (expected, ""), (n, k)
 
 
 class TestVerify:
@@ -225,6 +259,12 @@ class TestExitCodes:
             (["section", "--chain", '{"n":8,"steps":[[3,null]]}'], "'steps'"),
             (["map", "--pair", "[" * 100_000], "nested too deeply"),
             (["validate", "--chain", '{"n": 3, "steps": ' + "[" * 100_000], "nested too deeply"),
+            # an n past C's sizes reaches list(range(1, n + 1))
+            (["validate", "-n", str(10**30), "--chain", "()"], "too large"),
+            (["section", "-n", str(10**30), "--chain", "()"], "too large"),
+            (["involute", "-n", str(10**30), "--chain", "()"], "too large"),
+            (["map", "-n", str(10**30), "--b", "5"], "too large"),
+            (["act", "-n", str(10**30), "--chain", "()", "--perm", "()"], "too large"),
         ],
     )
     def test_malformed_json_is_one_error_line(self, argv, names, capsys):

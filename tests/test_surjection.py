@@ -182,6 +182,11 @@ class TestCountFormula:
         # stays exact far beyond machine floats; C(30, 21) = C(30, 9) = 14307150
         assert count_formula(30, 20) == 30**19 * 14307150
 
+    def test_k_at_least_n_is_zero_before_the_power(self):
+        start = time.perf_counter()
+        assert count_formula(3, 10**7) == 0
+        assert time.perf_counter() - start < 0.5
+
 
 class TestVerify:
     def test_n4(self):
@@ -220,6 +225,13 @@ class TestVerify:
             CapExceeded, match=r"^enumeration of n=8, k=5 has 114688 chains, over the cap 30000$"
         ):
             verify(8, cap=30000)
+        assert time.perf_counter() - start < 1.0
+
+    def test_cap_is_checked_at_once_for_a_huge_n(self):
+        # k = 0 builds nothing O(n), so k = 1 is reached and refused at once
+        start = time.perf_counter()
+        with pytest.raises(CapExceeded):
+            verify(10**30)
         assert time.perf_counter() - start < 1.0
 
 
