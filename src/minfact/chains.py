@@ -10,13 +10,16 @@ chain extends to a product of n - 1 transpositions equal to the full cycle.
 One depth-first search over noncrossing blocks makes every member for given n
 and k, each from its parent by one step.  It is written once, as a fold:
 ``iter_sigma`` folds it into a stream of chains, ``enumerate_sigma`` lists
-them, and ``minfact enumerate`` folds it into output lines.
+them, and ``minfact enumerate`` folds it into output lines.  A chain's next
+steps are the pairs inside the blocks of the permutation still to go to the
+full cycle, so they depend on that block set alone; the last steps of the
+many chains that reach one block set are made once and kept in a bounded memo.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, TypeVar
+from typing import Callable, Iterable, Iterator, Sequence, TypeVar
 
 from .counting import count_formula
 from .perms import Permutation, Transposition, _cycle_groups, precedes
@@ -37,6 +40,7 @@ __all__ = [
 
 DEFAULT_CAP = 10_000_000
 T = TypeVar("T")
+L = TypeVar("L")
 
 
 class CapExceeded(ValueError):
@@ -177,17 +181,44 @@ def _require_member(c: Chain, what: str) -> None:
         raise ValueError(f"{what} requires a prefix chain, got non-member {c!r}")
 
 
-def _walk(n: int, k: int, cap: int, root: T, grow: Callable[[T, int, int], T]) -> Iterator[T]:
-    """The DFS over the k-prefixes, folded: the empty chain is ``root`` and a
-    chain is ``grow(its parent, i, j)`` for its last step (i j).  Leaves come in
-    lexicographic step order; arguments and ``cap`` are checked at the call."""
+class _Made(dict):
+    """Values made once per key and kept: ``made[key]`` is ``make(*key)``."""
+
+    def __init__(self, make: Callable[..., object]) -> None:
+        super().__init__()
+        self.make = make
+
+    def __missing__(self, key: tuple) -> object:
+        value = self[key] = self.make(*key)
+        return value
+
+
+# Leaf steps one walk may keep in its memo, over all the block sets it keeps
+_MEMO_PAIRS = 1 << 16
+_Blocks = tuple[tuple[int, ...], ...]
+
+
+def _walk(
+    n: int,
+    k: int,
+    cap: int,
+    root: T,
+    grow: Callable[[T, int, int], T],
+    leaf: Callable[[int, int], L],
+) -> Iterator[tuple[T, Sequence[L]]]:
+    """The DFS over the k-prefixes, folded: the empty chain is ``root``, a chain
+    with children is ``grow(its parent, i, j)`` for its last step (i j), and the
+    leaves come in batches ``(acc, leaves)``: the chains ``acc`` plus one step
+    (i j) each, given as ``leaf(i, j)``.  Chains come in lexicographic step
+    order; arguments and ``cap`` are checked at the call.  No batch comes for
+    k >= n, nor for k = 0, whose one chain is ``root`` itself."""
     expected = count_formula(n, k)
     if expected > cap:
         raise CapExceeded(
             f"enumeration of n={n}, k={k} has {expected} chains, over the cap {cap}"
         )
-    if k == 0 or k >= n:  # one empty chain, or none: no blocks to build, whatever n is
-        return iter((root,) * expected)
+    if k == 0 or k >= n:  # no blocks to build, whatever n is
+        return iter(())
 
     # phi = gamma^-1 * long_cycle, for the running product gamma, lies below the
     # full cycle, so its cycles are increasing and noncrossing and phi is held as
@@ -195,35 +226,91 @@ def _walk(n: int, k: int, cap: int, root: T, grow: Callable[[T, int, int], T]) -
     # prefix property iff i and j share a block b: (i j) phi splits b at their
     # positions s < t into b[s:t] and b[:s] + b[t:], one norm less, and then
     # norm(gamma (i j)) + norm((i j) phi) >= n - 1 = norm(gamma) + norm(phi) makes
-    # gamma one norm more, so gamma is not kept.  Shadow-tested against ``validate``.
-    def extend(acc: T, blocks: tuple[tuple[int, ...], ...], depth: int) -> Iterator[T]:
-        # a block's last point has no larger partner in it
-        for i, b, s in sorted(
-            (i, b, s) for b, block in enumerate(blocks) for s, i in enumerate(block[:-1])
-        ):
+    # gamma one norm more, so gamma is not kept.  A block of one point holds no
+    # step and is dropped.  Shadow-tested against ``validate``.
+    #
+    # So a chain's children, and a leaf-parent's leaf steps (the pairs inside
+    # its blocks), depend on its block set alone, not on the path to it.  The
+    # set fixes gamma, and Dénes' m^(m-2) minimal factorisations of an m-cycle,
+    # shuffled over gamma's cycles c, give d! prod |c|^(|c|-2) / (|c|-1)!
+    # chains of length d to it: Sigma(9, 5) has 91,854 leaf-parents over 1,764
+    # block sets.  So leaf-parents at depth k - 1 >= 2 take their leaves from
+    # a memo keyed by the block set, which keeps at most _MEMO_PAIRS leaves,
+    # each leaf(i, j) made once and shared.  The root and depth-1 sets never
+    # recur, and a set past the budget streams its leaves, a batch per
+    # smaller entry i, so the memo stays bounded for any n.
+    memo: dict[_Blocks, tuple[L, ...]] = {}
+    shared = _Made(leaf)
+    room = _MEMO_PAIRS
+
+    def steps(blocks: _Blocks) -> list[tuple[int, int, int]]:
+        # (i, block, position) by i; a block's last point has no larger partner
+        return sorted((i, b, s) for b, block in enumerate(blocks) for s, i in enumerate(block[:-1]))
+
+    def stream(acc: T, blocks: _Blocks) -> Iterator[tuple[T, list[L]]]:
+        for i, b, s in steps(blocks):
+            yield acc, [leaf(i, j) for j in blocks[b][s + 1:]]
+
+    def recall(blocks: _Blocks) -> tuple[L, ...] | None:
+        nonlocal room
+        key = tuple(sorted(blocks))  # the block set, as one sorted tuple
+        leaves = memo.get(key)
+        if leaves is None:
+            size = sum(len(b) * (len(b) - 1) // 2 for b in blocks)
+            if size > room:
+                return None
+            room -= size
+            leaves = memo[key] = tuple(
+                shared[i, j] for i, b, s in steps(blocks) for j in blocks[b][s + 1:]
+            )
+        return leaves
+
+    def children(acc: T, blocks: _Blocks) -> Iterator[tuple[T, _Blocks]]:
+        for i, b, s in steps(blocks):
             block, rest = blocks[b], blocks[:b] + blocks[b + 1:]
             for t in range(s + 1, len(block)):
-                child = grow(acc, i, block[t])
-                if depth == 1:  # leaves come from their parent's frame
-                    yield child
-                else:
-                    yield from extend(child, rest + (block[s:t], block[:s] + block[t:]), depth - 1)
+                child = rest
+                if t - s > 1:
+                    child += (block[s:t],)
+                if len(block) - (t - s) > 1:
+                    child += (block[:s] + block[t:],)
+                yield grow(acc, i, block[t]), child
 
-    return extend(root, (tuple(range(1, n + 1)),), k)
+    def batches() -> Iterator[tuple[T, Sequence[L]]]:
+        # stack[-1] makes the chains of length len(stack), so every batch is
+        # yielded from this one frame, not handed up through k - 1 generators
+        stack = [children(root, start)]
+        while stack:
+            for acc, blocks in stack[-1]:
+                if len(stack) < k - 1:
+                    stack.append(children(acc, blocks))
+                    break
+                leaves = recall(blocks) if k > 2 else None
+                if leaves is None:
+                    yield from stream(acc, blocks)
+                else:
+                    yield acc, leaves
+            else:
+                stack.pop()
+
+    start = (tuple(range(1, n + 1)),)
+    return stream(root, start) if k == 1 else batches()
 
 
 def iter_sigma(n: int, k: int, cap: int = DEFAULT_CAP) -> Iterator[Chain]:
     """All k-prefixes over {1, ..., n}, lazily, in lexicographic step order;
     the arguments and ``cap`` (:class:`CapExceeded`) are checked at the call."""
-    made: dict[tuple[int, int], Transposition] = {}
+    made = _Made(Transposition)  # the inner steps below the root, each made once
 
     def grow(steps: tuple[Transposition, ...], i: int, j: int) -> tuple[Transposition, ...]:
-        step = made.get((i, j)) or Transposition(i, j)
-        if steps:  # the root's steps are made once: keep no C(n, 2) table at k = 1
-            made[i, j] = step
-        return (*steps, step)
+        # the root's steps are made once: keep no C(n, 2) table for them
+        return (*steps, made[i, j] if steps else Transposition(i, j))
 
-    return (Chain(n, steps) for steps in _walk(n, k, cap, (), grow))
+    # the walk's memo shares the leaves it keeps; streamed leaves are not kept
+    batches = _walk(n, k, cap, (), grow, Transposition)
+    if k == 0:
+        return iter((Chain(n, ()),))
+    return (Chain(n, (*steps, step)) for steps, leaves in batches for step in leaves)
 
 
 def enumerate_sigma(n: int, k: int, cap: int = DEFAULT_CAP) -> list[Chain]:

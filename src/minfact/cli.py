@@ -90,14 +90,21 @@ def _cmd_count(args: argparse.Namespace) -> int:
 
 
 def _cmd_enumerate(args: argparse.Namespace) -> int:
-    # each line is its parent's line plus one step; JSON lines drop the first ", "
+    # a line is its leaf-parent's line plus the leaf's label, so a batch of
+    # leaves goes out as one string; a JSON step carries the ", " after it and a
+    # leaf the "]}" that ends the line
     if args.format == "json":
-        head = f'{{"n": {args.n}, "steps": ['
-        lines = _walk(args.n, args.k, args.cap, "", lambda acc, i, j: f"{acc}, [{i}, {j}]")
-        sys.stdout.writelines(f"{head}{line[2:]}]}}\n" for line in lines)
+        root, step, leaf, empty = f'{{"n": {args.n}, "steps": [', "[{}, {}], ", "[{}, {}]]}}", "]}"
     else:
-        lines = _walk(args.n, args.k, args.cap, "", lambda acc, i, j: f"{acc}({i} {j})")
-        sys.stdout.writelines(f"{line}\n" for line in lines)
+        root, step, leaf, empty = "", "({} {})", "({} {})", ""
+    batches = _walk(
+        args.n, args.k, args.cap, root, lambda acc, i, j: acc + step.format(i, j), leaf.format
+    )
+    write = sys.stdout.write
+    if args.k == 0:  # the empty chain, which no batch holds
+        write(root + empty + "\n")
+    for acc, labels in batches:
+        write(acc + ("\n" + acc).join(labels) + "\n")
     return 0
 
 

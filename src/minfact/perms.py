@@ -260,17 +260,23 @@ def below_long_cycle_geometric(p: Permutation) -> bool:
     element and no two cycles cross, i.e. no quadruple i < j < k < l has
     i, k in one cycle and j, l in another.
     """
-    blocks = p.cycles()
-    for block in blocks:
-        if any(a >= b for a, b in zip(block, block[1:])):
+    # One scan over 1..n.  A point that no smaller point maps to opens a block,
+    # and x < p(x) hands x's block on to p(x); the cycles are increasing iff
+    # each x with p(x) <= x maps to its block's first point.  Open blocks form
+    # a stack, and a point whose block is open but not on top is a crossing
+    # (Kreweras).
+    owner = [0] * (p.n + 1)
+    stack: list[int] = []
+    for x, y in enumerate(p.images, start=1):
+        block = owner[x] or x
+        if block != x and stack[-1] != block:
             return False
-    for s in range(len(blocks)):
-        members = set(blocks[s])
-        for t in range(s + 1, len(blocks)):
-            # two blocks cross iff their merged sorted labels switch owner
-            # at least three times
-            owners = [x in members for x in sorted(blocks[s] + blocks[t])]
-            changes = sum(1 for a, b in zip(owners, owners[1:]) if a != b)
-            if changes >= 3:
-                return False
+        if y > x:
+            owner[y] = block
+            if block == x:
+                stack.append(x)
+        elif y != block:
+            return False
+        elif block != x:
+            stack.pop()
     return True

@@ -1,8 +1,12 @@
 import hashlib
 import time
+import tracemalloc
+from itertools import islice
+from math import comb
 
 import pytest
 
+from minfact import chains
 from minfact import (
     CapExceeded,
     Chain,
@@ -204,6 +208,69 @@ class TestEnumerate:
         for k in range(n):
             truncated = {Chain(n, c.steps[:k]) for c in factorizations}
             assert truncated == set(sigma(n, k))
+
+
+def _enumerated(capsys, n, k, fmt):
+    assert run(["enumerate", "-n", str(n), "-k", str(k), "--format", fmt]) == 0
+    out, err = capsys.readouterr()
+    assert err == ""
+    return out
+
+
+class TestLeafMemo:
+    # The memo of leaf steps by block set is a cache: a walk with no room for
+    # it streams every leaf-parent, and one with a little room keeps some states
+    # and streams the rest.  Both must give what the memo gives.
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_budget_changes_nothing(self, n, monkeypatch, capsys):
+        # for n < 8 the lines equal the Chain folds by
+        # test_cli.py::TestEnumerate::test_lines_match_the_chains.  n = 8 has
+        # 672,605 chains over all k: there only the text lines are compared
+        formats, budgets = (("text", "json"), (0, 40)) if n < 8 else (("text",), (0,))
+        for k in range(n + 1):
+            lines = [_enumerated(capsys, n, k, fmt) for fmt in formats]
+            memo = list(iter_sigma(n, k)) if n < 8 else None
+            for budget in budgets:
+                monkeypatch.setattr(chains, "_MEMO_PAIRS", budget)
+                assert [_enumerated(capsys, n, k, fmt) for fmt in formats] == lines, (k, budget)
+                if n < 8:
+                    plain = list(iter_sigma(n, k))
+                    assert plain == memo, (k, budget)
+                    if comb(n, 2) ** k <= 20_000:
+                        assert plain == brute_sigma(n, k), (k, budget)
+                monkeypatch.undo()
+
+    def test_memo_stays_within_its_budget(self, monkeypatch):
+        # at (16, 3) the leaf-parents hold 218,400 leaves over 4,200 block sets;
+        # the memo may keep 1 << 16 of them: 1.5 MiB at 24 bytes a leaf, an
+        # 8-byte slot and a share of its block set and tuple
+        def peak() -> int:
+            tracemalloc.start()
+            try:
+                for _ in chains._walk(16, 3, 10**6, None, lambda acc, i, j: acc, lambda i, j: (i, j)):
+                    pass
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert chains._MEMO_PAIRS == 1 << 16
+        bounded = peak()
+        monkeypatch.setattr(chains, "_MEMO_PAIRS", 1 << 30)
+        unbounded = peak()
+        assert bounded < 24 * (1 << 16) < unbounded, (bounded, unbounded)
+
+    def test_streamed_chains_keep_nothing(self):
+        # at k = 2 every leaf-parent streams: iter_sigma(3000, 2) must not keep
+        # a Transposition per step it has made (50,000 would be about 10 MiB)
+        tracemalloc.start()
+        try:
+            for _ in islice(iter_sigma(3000, 2, cap=10**15), 50_000):
+                pass
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20, peak
 
 
 class TestInvolute:

@@ -316,3 +316,39 @@ def test_out_of_memory_is_one_error_line():
         timeout=60,
     )
     assert (proc.returncode, proc.stdout, proc.stderr) == (1, b"", b"error: out of memory\n")
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="reads VmHWM from /proc/<pid>/status")
+def test_large_n_streams_in_flat_memory():
+    # `enumerate -n 3000 -k 1` has 4,498,500 lines; nothing of the walk that
+    # grows with them may be kept, so the first line comes at once and peak RSS
+    # stays that of an idle interpreter with the CLI imported
+    env = {**os.environ, "PYTHONPATH": str(Path(minfact.__file__).resolve().parents[1])}
+
+    def peak_mib(pid):
+        with open(f"/proc/{pid}/status") as status:
+            line = next(line for line in status if line.startswith("VmHWM:"))
+        return int(line.split()[1]) / 1024
+
+    def run_until(argv, lines):
+        start = time.perf_counter()
+        proc = subprocess.Popen(argv, stdin=subprocess.PIPE, stdout=subprocess.PIPE, env=env)
+        try:
+            first = proc.stdout.readline()
+            elapsed = time.perf_counter() - start
+            for _ in range(lines):
+                proc.stdout.readline()
+            return first, elapsed, peak_mib(proc.pid)
+        finally:
+            proc.kill()
+            proc.wait(timeout=60)
+            proc.stdin.close()
+            proc.stdout.close()
+
+    idle = [sys.executable, "-c", "import sys, minfact.cli; print(flush=True); sys.stdin.read()"]
+    _, _, baseline = run_until(idle, 0)
+    enumerate_ = [sys.executable, "-m", "minfact", "enumerate", "-n", "3000", "-k", "1"]
+    first, elapsed, peak = run_until(enumerate_, 500_000)
+    assert first == b"(1 2)\n"
+    assert elapsed < 1.0
+    assert peak - baseline < 2.0, (peak, baseline)

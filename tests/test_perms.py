@@ -157,11 +157,34 @@ class TestGeometricCharacterization:
         assert not below_long_cycle_geometric(Permutation.parse("(1 3 2)", 3))
         assert not below_long_cycle_geometric(Permutation.parse("(1 3)(2 4)", 4))
 
-    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7])
     def test_agrees_with_order_oracle(self, n):
         target = Permutation.long_cycle(n)
         for p in all_permutations(n):
             assert below_long_cycle_geometric(p) == precedes(p, target)
+
+    @given(st.data())
+    def test_agrees_with_order_oracle_near_the_long_cycle(self, data):
+        # random permutations of n <= 40 points almost never lie below the full
+        # cycle: draw noncrossing blocks by splitting (1..n) as the DFS does,
+        # read them as increasing cycles, and swap two images half the time
+        n = data.draw(st.integers(1, 40))
+        blocks = [tuple(range(1, n + 1))]
+        for _ in range(data.draw(st.integers(0, n))):
+            b = data.draw(st.sampled_from(blocks))
+            if len(b) > 1:
+                s, t = sorted(data.draw(st.sets(st.integers(0, len(b) - 1), min_size=2, max_size=2)))
+                blocks.remove(b)
+                blocks += [b[s:t], b[:s] + b[t:]]
+        images = list(range(1, n + 1))
+        for b in blocks:
+            for x, y in zip(b, b[1:] + b[:1]):
+                images[x - 1] = y
+        if n > 1 and data.draw(st.booleans()):
+            x, y = sorted(data.draw(st.sets(st.integers(0, n - 1), min_size=2, max_size=2)))
+            images[x], images[y] = images[y], images[x]
+        p = Permutation(tuple(images))
+        assert below_long_cycle_geometric(p) == precedes(p, Permutation.long_cycle(n))
 
 
 class TestTextForm:
