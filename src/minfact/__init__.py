@@ -8,58 +8,16 @@ pairs onto prefixes whose fibres are rotation orbits of size n.
 """
 
 from . import action, chains, counting, parking, perms, surjection
-from .perms import (
-    Permutation,
-    Transposition,
-    below_long_cycle_geometric,
-    multiply,
-    precedes,
-)
-from .chains import (
-    CapExceeded,
-    Chain,
-    DEFAULT_CAP,
-    ValidityReport,
-    check_sorted_criterion,
-    enumerate_sigma,
-    intermediate,
-    involute,
-    iter_sigma,
-    support,
-    validate,
-)
-from .counting import count_formula
-from .action import (
-    apply_generator,
-    apply_permutation,
-    braid_step,
-    projection,
-    sort_chain,
-)
-from .parking import (
-    CarTrace,
-    ParkingInput,
-    ParkingOutcome,
-    normalize,
-    park,
-    park_trace,
-    residue,
-    shift_pair,
-    shift_value,
-)
-from .surjection import (
-    PairAB,
-    VerifyReport,
-    VerifyRow,
-    fiber,
-    gamma,
-    section,
-    verify,
-)
+from .perms import *
+from .chains import *
+from .counting import *
+from .action import *
+from .parking import *
+from .surjection import *
 
 __version__ = "0.1.0"
 
-# the public names of every module, each imported above
+# the public names of every module, each star-imported above
 __all__ = [
     *perms.__all__,
     *chains.__all__,

@@ -19,6 +19,8 @@ many chains that reach one block set are made once and kept in a bounded memo.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
+from itertools import repeat
 from typing import Callable, Iterable, Iterator, Sequence, TypeVar
 
 from .counting import count_formula
@@ -181,18 +183,6 @@ def _require_member(c: Chain, what: str) -> None:
         raise ValueError(f"{what} requires a prefix chain, got non-member {c!r}")
 
 
-class _Made(dict):
-    """Values made once per key and kept: ``made[key]`` is ``make(*key)``."""
-
-    def __init__(self, make: Callable[..., object]) -> None:
-        super().__init__()
-        self.make = make
-
-    def __missing__(self, key: tuple) -> object:
-        value = self[key] = self.make(*key)
-        return value
-
-
 # Leaf steps one walk may keep in its memo, over all the block sets it keeps
 _MEMO_PAIRS = 1 << 16
 _Blocks = tuple[tuple[int, ...], ...]
@@ -237,19 +227,26 @@ def _walk(
     # block sets.  So leaf-parents at depth k - 1 >= 2 take their leaves from
     # a memo keyed by the block set, which keeps at most _MEMO_PAIRS leaves,
     # each leaf(i, j) made once and shared.  The root and depth-1 sets never
-    # recur, and a set past the budget streams its leaves, a batch per
-    # smaller entry i, so the memo stays bounded for any n.
+    # recur, and a set past the budget streams its leaves in batches of at most
+    # _MEMO_PAIRS per smaller entry i, so memo and batches are bounded for any n.
     memo: dict[_Blocks, tuple[L, ...]] = {}
-    shared = _Made(leaf)
+    shared = cache(leaf)
     room = _MEMO_PAIRS
+    cut = max(_MEMO_PAIRS, 1)
 
-    def steps(blocks: _Blocks) -> list[tuple[int, int, int]]:
-        # (i, block, position) by i; a block's last point has no larger partner
+    def steps(blocks: _Blocks) -> Iterable[tuple[int, int, int]]:
+        # (i, block, position) by i; a block's last point has no larger partner,
+        # and a lone block, such as the root's, is in order already
+        if len(blocks) == 1:
+            return zip(blocks[0], repeat(0), range(len(blocks[0]) - 1))
         return sorted((i, b, s) for b, block in enumerate(blocks) for s, i in enumerate(block[:-1]))
 
     def stream(acc: T, blocks: _Blocks) -> Iterator[tuple[T, list[L]]]:
+        # a batch per smaller entry i, cut to the memo's budget of leaves
         for i, b, s in steps(blocks):
-            yield acc, [leaf(i, j) for j in blocks[b][s + 1:]]
+            block = blocks[b]
+            for t in range(s + 1, len(block), cut):
+                yield acc, [leaf(i, j) for j in block[t:t + cut]]
 
     def recall(blocks: _Blocks) -> tuple[L, ...] | None:
         nonlocal room
@@ -261,7 +258,7 @@ def _walk(
                 return None
             room -= size
             leaves = memo[key] = tuple(
-                shared[i, j] for i, b, s in steps(blocks) for j in blocks[b][s + 1:]
+                shared(i, j) for i, b, s in steps(blocks) for j in blocks[b][s + 1:]
             )
         return leaves
 
@@ -300,11 +297,11 @@ def _walk(
 def iter_sigma(n: int, k: int, cap: int = DEFAULT_CAP) -> Iterator[Chain]:
     """All k-prefixes over {1, ..., n}, lazily, in lexicographic step order;
     the arguments and ``cap`` (:class:`CapExceeded`) are checked at the call."""
-    made = _Made(Transposition)  # the inner steps below the root, each made once
+    made = cache(Transposition)  # the inner steps below the root, each made once
 
     def grow(steps: tuple[Transposition, ...], i: int, j: int) -> tuple[Transposition, ...]:
         # the root's steps are made once: keep no C(n, 2) table for them
-        return (*steps, made[i, j] if steps else Transposition(i, j))
+        return (*steps, made(i, j) if steps else Transposition(i, j))
 
     # the walk's memo shares the leaves it keeps; streamed leaves are not kept
     batches = _walk(n, k, cap, (), grow, Transposition)

@@ -61,7 +61,10 @@ def _pair_from_args(args: argparse.Namespace) -> PairAB:
     if args.pair is not None:
         if args.a is not None or args.b is not None:
             raise UsageError("--pair excludes --a/--b")
-        return PairAB.from_json(_json(args.pair))
+        pair = PairAB.from_json(_json(args.pair))
+        if args.n is not None and args.n != pair.n:
+            raise UsageError(f"-n {args.n} contradicts the pair JSON (n={pair.n})")
+        return pair
     if args.b is None:
         raise UsageError("either --pair or --b is required")
     if args.n is None:

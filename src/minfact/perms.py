@@ -120,20 +120,16 @@ class Permutation:
         Disjointness is not required; overlapping cycles multiply like any
         other product.
         """
-        result = cls.identity(n)
-        for cycle in reversed(list(cycles)):
-            result = cls._single_cycle(n, cycle) * result
-        return result
-
-    @classmethod
-    def _single_cycle(cls, n: int, cycle: Sequence[int]) -> Permutation:
-        if len(set(cycle)) != len(cycle):
-            raise ValueError(f"repeated element in cycle {tuple(cycle)}")
         images = list(range(1, n + 1))
-        for pos, x in enumerate(cycle):
-            if not 1 <= x <= n:
-                raise ValueError(f"cycle entry {x} outside 1..{n}")
-            images[x - 1] = cycle[(pos + 1) % len(cycle)]
+        for cycle in reversed(list(cycles)):
+            if len(set(cycle)) != len(cycle):
+                raise ValueError(f"repeated element in cycle {tuple(cycle)}")
+            for x in cycle:
+                if not 1 <= x <= n:
+                    raise ValueError(f"cycle entry {x} outside 1..{n}")
+            # each cycle acts after the ones to its right
+            step = dict(zip(cycle, (*cycle[1:], *cycle[:1])))
+            images = [step.get(y, y) for y in images]
         return cls(tuple(images))
 
     @classmethod

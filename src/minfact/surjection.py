@@ -170,9 +170,10 @@ def verify(n: int, cap: int = DEFAULT_CAP) -> VerifyReport:
     enumerated chain ``c`` with section ``s``:
 
     - sections: the tail of ``gamma`` after the rotation maps ``s`` to ``c``;
-    - fibres: that holds, the n rotations of ``s`` are distinct, ``normalize``
-      takes each of them back to ``s``, and exactly one of them needs
-      shift 0, i.e. has residue 1.
+    - fibres: that holds, and for every t in 0..n-1 ``normalize`` takes the
+      rotation of ``s`` by t back to ``s`` with shift -t mod n.  As
+      ``normalize`` reports the shift it applies, the n rotations are then
+      distinct and ``s`` is the one with residue 1.
 
     ``gamma(p)`` is that tail applied to ``normalize(p)``, so these checks
     imply ``gamma(p) == c`` for all n pairs of the orbit, at the cost of one
@@ -193,14 +194,9 @@ def verify(n: int, cap: int = DEFAULT_CAP) -> VerifyReport:
             enumerated += 1
             s = section(c)
             back = _gamma_normalized(n, s.a, s.b) == c
-            rotations = {shift_pair(s.a, s.b, t, n) for t in range(n)}
-            images = [normalize(a, b, n) for a, b in rotations]
             sections_ok = sections_ok and back
-            fibers_ok = fibers_ok and (
-                back
-                and len(rotations) == n
-                and all((a, b) == (s.a, s.b) for a, b, _ in images)
-                and sum(t == 0 for _, _, t in images) == 1
+            fibers_ok = fibers_ok and back and all(
+                normalize(*shift_pair(s.a, s.b, t, n), n) == (s.a, s.b, -t % n) for t in range(n)
             )
         rows.append(VerifyRow(k, count_formula(n, k), enumerated, sections_ok, fibers_ok))
     return VerifyReport(n, tuple(rows))

@@ -204,6 +204,32 @@ class TestTextForm:
     def test_parse_overlapping_cycles_uses_product_convention(self):
         assert Permutation.parse("(1 2)(2 3)", 3).images == (2, 3, 1)
 
+    @given(st.integers(1, 7), st.data())
+    def test_from_cycles_is_the_product_of_its_cycles(self, n, data):
+        # overlapping cycles multiply too, right factor first
+        cycles = data.draw(st.lists(st.lists(st.integers(1, n), unique=True), max_size=4))
+        expected = Permutation.identity(n)
+        for cycle in cycles:
+            images = list(range(1, n + 1))
+            for x, y in zip(cycle, cycle[1:] + cycle[:1]):
+                images[x - 1] = y
+            expected = expected * Permutation(tuple(images))
+        assert Permutation.from_cycles(n, cycles) == expected
+
+    @pytest.mark.parametrize(
+        "cycles,message",
+        [
+            ([(1, 1), (5,)], "cycle entry 5 outside 1..3"),
+            ([(5,), (1, 1)], "repeated element in cycle (1, 1)"),
+            ([(2, 9, 2)], "repeated element in cycle (2, 9, 2)"),
+            ([(1, 2), (3, 0, 7)], "cycle entry 0 outside 1..3"),
+        ],
+    )
+    def test_from_cycles_checks_the_right_factor_first(self, cycles, message):
+        with pytest.raises(ValueError) as exc:
+            Permutation.from_cycles(3, cycles)
+        assert str(exc.value) == message
+
     @pytest.mark.parametrize("bad", ["(1 2", "(1 9)", "(1 1)", "(a b)", "junk"])
     def test_parse_rejects_garbage(self, bad):
         with pytest.raises(ValueError):

@@ -14,6 +14,7 @@ from minfact import (
     count_formula,
     fiber,
     gamma,
+    intermediate,
     normalize,
     park,
     ParkingInput,
@@ -115,6 +116,25 @@ class TestSection:
     def test_rejects_non_member(self):
         with pytest.raises(ValueError):
             section(Chain.from_pairs(4, [(1, 3), (2, 4)]))
+
+    @staticmethod
+    def _one_and_non_least_points(c):
+        # 1 and every point that is not the least of its cycle in c's product
+        return frozenset({1}).union(*(cycle[1:] for cycle in intermediate(c, len(c)).cycles()))
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_b_is_closed_form(self, n):
+        for c in sigma_all(n):
+            assert section(c).b == self._one_and_non_least_points(c)
+
+    @given(st.data())
+    def test_b_is_closed_form_on_random_pairs(self, data):
+        n = data.draw(st.integers(1, 30))
+        k = data.draw(st.integers(0, n - 1))
+        a = tuple(data.draw(st.lists(st.integers(1, n), min_size=k, max_size=k)))
+        b = frozenset(data.draw(st.sets(st.integers(1, n), min_size=k + 1, max_size=k + 1)))
+        c = gamma(PairAB(n, a, b))
+        assert section(c).b == self._one_and_non_least_points(c)
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
     def test_right_inverse_with_residue_one(self, n):
@@ -298,3 +318,23 @@ class TestVerifyCanFail:
         out = capsys.readouterr().out.splitlines()
         assert out[1 + k].split()[-2:] == marks
         assert out[-1] == "FAIL"
+
+
+def test_misreported_shift_fails_fibres(monkeypatch):
+    # normalize applies the right rotation to one pair of verify(4) but reports
+    # shift 3 for 2: the rotations stay distinct and one of them still has
+    # shift 0, so only the equation on the shift sees it
+    real = surjection.normalize
+    victim = fiber(sigma(4, 3)[5])[2]
+
+    def faulty(a, b, n):
+        a2, b2, t = real(a, b, n)
+        if (tuple(a), frozenset(b)) == (victim.a, victim.b):
+            t = (t + 1) % n
+        return a2, b2, t
+
+    monkeypatch.setattr(surjection, "normalize", faulty)
+    rows = verify(4).rows
+    assert [(r.sections_ok, r.fibers_ok) for r in rows] == [
+        (True, True), (True, True), (True, True), (True, False)
+    ]
