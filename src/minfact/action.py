@@ -6,6 +6,8 @@ by swapping the two steps and conjugating the one with the smaller i by the
 other — a braid move that leaves the step product unchanged.  These moves
 satisfy the Coxeter relations, so every permutation of positions acts the
 same way through any decomposition into adjacent transpositions.
+``apply_permutation`` therefore bubble-sorts the permutation's one-line form
+and applies each swap's move as the sort makes it, keeping no word.
 
 Projecting a chain to its i-sequence intertwines this action with the
 natural action on sequences and preserves stabilizers, so each orbit
@@ -54,7 +56,7 @@ def braid_step(c: Chain, l: int, inverse: bool = False) -> Chain:
     """Replace (g_l, g_{l+1}) by (g_{l+1}, g_{l+1} g_l g_{l+1}), or by
     (g_l g_{l+1} g_l, g_l) when ``inverse``.  The step product is unchanged
     and membership is preserved."""
-    _require_member(c, "braid_step")
+    _require_member(c)
     _check_index(l, len(c.steps))
     return Chain(c.n, _braid(c.steps, l, inverse))
 
@@ -74,27 +76,9 @@ def apply_generator(c: Chain, l: int) -> Chain:
     move when i_l < i_{l+1}, inverse braid move when i_l > i_{l+1}.  The
     i-sequence of the result is that of ``c`` with slots l, l+1 swapped.
     """
-    _require_member(c, "apply_generator")
+    _require_member(c)
     _check_index(l, len(c.steps))
     return Chain(c.n, _generator_move(c.steps, l))
-
-
-def _adjacent_word(p: Permutation) -> list[int]:
-    # Bubble-sort the one-line form; swapping slots l, l+1 multiplies p by
-    # the adjacent transposition on the right, so p times the recorded
-    # swaps (in order) is the identity and p acts on chains by applying the
-    # swaps first-recorded first.
-    w = list(p.images)
-    word: list[int] = []
-    changed = True
-    while changed:
-        changed = False
-        for l in range(1, len(w)):
-            if w[l - 1] > w[l]:
-                w[l - 1], w[l] = w[l], w[l - 1]
-                word.append(l)
-                changed = True
-    return word
 
 
 def apply_permutation(c: Chain, p: Permutation) -> Chain:
@@ -106,10 +90,18 @@ def apply_permutation(c: Chain, p: Permutation) -> Chain:
     """
     if p.n != len(c.steps):
         raise ValueError(f"need a permutation of {len(c.steps)} positions, got size {p.n}")
-    _require_member(c, "apply_permutation")
-    steps = c.steps
-    for l in _adjacent_word(p):
-        steps = _generator_move(steps, l)
+    _require_member(c)
+    # swapping slots l, l+1 multiplies p by the adjacent transposition on the
+    # right, so p times the sort's swaps, in the order made, is the identity
+    steps, w = c.steps, list(p.images)
+    changed = True
+    while changed:
+        changed = False
+        for l in range(1, len(w)):
+            if w[l - 1] > w[l]:
+                w[l - 1], w[l] = w[l], w[l - 1]
+                steps = _generator_move(steps, l)
+                changed = True
     return Chain(c.n, steps)
 
 

@@ -178,9 +178,11 @@ def validate(c: Chain) -> ValidityReport:
     )
 
 
-def _require_member(c: Chain, what: str) -> None:
-    if not validate(c).is_member:
-        raise ValueError(f"{what} requires a prefix chain, got non-member {c!r}")
+def _require_member(c: Chain) -> None:
+    report = validate(c)
+    if not report.is_member:
+        why = "is not below the full cycle" if report.is_geodesic else f"has norm below {len(c)}"
+        raise ValueError(f"requires a prefix chain; {c} over 1..{c.n} is not one: its product {why}")
 
 
 # Leaf steps one walk may keep in its memo, over all the block sets it keeps
@@ -274,15 +276,16 @@ def _walk(
                 yield grow(acc, i, block[t]), child
 
     def batches() -> Iterator[tuple[T, Sequence[L]]]:
-        # stack[-1] makes the chains of length len(stack), so every batch is
-        # yielded from this one frame, not handed up through k - 1 generators
-        stack = [children(root, start)]
+        # stack[-1] makes the chains of length len(stack) - 1, the root's one
+        # block first, so every batch is yielded from this one frame, not
+        # handed up through k generators
+        stack = [iter(((root, (tuple(range(1, n + 1)),)),))]
         while stack:
             for acc, blocks in stack[-1]:
-                if len(stack) < k - 1:
+                if len(stack) < k:
                     stack.append(children(acc, blocks))
                     break
-                leaves = recall(blocks) if k > 2 else None
+                leaves = recall(blocks) if len(stack) > 2 else None
                 if leaves is None:
                     yield from stream(acc, blocks)
                 else:
@@ -290,8 +293,7 @@ def _walk(
             else:
                 stack.pop()
 
-    start = (tuple(range(1, n + 1)),)
-    return stream(root, start) if k == 1 else batches()
+    return batches()
 
 
 def iter_sigma(n: int, k: int, cap: int = DEFAULT_CAP) -> Iterator[Chain]:
@@ -320,7 +322,7 @@ def involute(c: Chain) -> Chain:
 
     Maps prefixes to prefixes and is its own inverse.
     """
-    _require_member(c, "involute")
+    _require_member(c)
     m = c.n + 1
     return Chain(c.n, tuple(Transposition(m - t.j, m - t.i) for t in reversed(c.steps)))
 
@@ -331,7 +333,7 @@ def support(c: Chain) -> frozenset[int]:
     For a prefix chain this equals the set of points moved by the step
     product.
     """
-    _require_member(c, "support")
+    _require_member(c)
     return frozenset(x for t in c.steps for x in (t.i, t.j))
 
 

@@ -172,10 +172,9 @@ def normalize(
     ``RuntimeError`` if the rotated pair's residue is not 1, which would be
     a fault in this module, not in the input.
     """
-    a = tuple(a)
-    b = frozenset(b)
-    t = (1 - residue(ParkingInput(n, a, b))) % n
-    a2, b2 = shift_pair(a, b, t, n)
+    inp = ParkingInput(n, a, b)
+    t = (1 - residue(inp)) % n
+    a2, b2 = shift_pair(inp.entries, inp.open_spaces, t, n)
     rho = residue(ParkingInput(n, a2, b2))
     if rho != 1:
         raise RuntimeError(f"normalize: rotating by {t} left residue {rho}, not 1")

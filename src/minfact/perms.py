@@ -167,18 +167,12 @@ class Permutation:
     def cycles(self) -> list[tuple[int, ...]]:
         """Disjoint cycles in traversal order, each starting at its smallest
         element, listed by increasing smallest element."""
-        seen = [False] * (self.n + 1)
+        seen: set[int] = set()
         out = []
-        for start in range(1, self.n + 1):
-            if seen[start]:
-                continue
-            cycle = []
-            x = start
-            while not seen[x]:
-                seen[x] = True
-                cycle.append(x)
-                x = self.images[x - 1]
-            out.append(tuple(cycle))
+        for x in range(1, self.n + 1):
+            if x not in seen:
+                out.append(self.cycle_of(x))
+                seen.update(out[-1])
         return out
 
     def cycle_of(self, x: int) -> tuple[int, ...]:

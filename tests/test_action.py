@@ -3,6 +3,7 @@ from collections import deque
 
 import pytest
 
+from minfact import action
 from minfact import (
     Chain,
     Permutation,
@@ -166,6 +167,27 @@ class TestApplyPermutation:
             k = len(c)
             word = [rng.randint(1, k - 1) for _ in range(rng.randint(0, 10))]
             assert apply_word(c, word) == apply_permutation(c, perm_of_word(word, k))
+
+    def test_one_generator_move_per_inversion(self, monkeypatch):
+        # the un-sort applies a reduced word, inv(p) moves, which is what the
+        # benchmark's action.braid_moves counts
+        moves = []
+        real = action._generator_move
+
+        def counting(steps, l):
+            moves.append(l)
+            return real(steps, l)
+
+        monkeypatch.setattr(action, "_generator_move", counting)
+        rng = random.Random(3114)
+        for n in range(1, 7):
+            for c in sigma_all(n):
+                images = list(range(1, len(c) + 1))
+                rng.shuffle(images)
+                moves.clear()
+                apply_permutation(c, Permutation(tuple(images)))
+                pairs = [(x, y) for s, x in enumerate(images) for y in images[s + 1:]]
+                assert len(moves) == sum(x > y for x, y in pairs)
 
 
 class TestCoxeterRelations:

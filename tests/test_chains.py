@@ -139,6 +139,8 @@ class TestEnumerate:
             (8, 2, "8e27206939c3ed5f346fa8625bdab52598b97ab1fe0ca480ee9f96bdd167010f"),
             (8, 3, "d41dae7916484033610c2bec89f0de59ef97cfa57f4e6b7409cb9cca76641e33"),
             (8, 4, "1c4354c910b70047dd9a604ac0b8a646812527add05fe180212a389ed127eee9"),
+            # the deepest walk at n = 8: every leaf-parent has one leaf
+            (8, 7, "157adbda58ec11f1c13246e33a5c5af2738d00d4c899455e6d9beca7d5c4bf0e"),
         ],
     )
     def test_order_pinned_beyond_brute_force(self, n, k, digest):

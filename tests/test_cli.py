@@ -216,6 +216,14 @@ class TestExitCodes:
         assert run(["involute", "-n", "4", "--chain", "(1 3)(2 4)"]) == 1
         capsys.readouterr()
 
+    @pytest.mark.parametrize("command", [["section"], ["fiber"], ["act", "-l", "1"], ["involute"]])
+    def test_non_member_error_names_the_chain(self, command, capsys):
+        assert run([*command, "-n", "4", "--chain", "(1 3)(2 4)"]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and len(err.splitlines()) == 1 and err.startswith("error:")
+        assert "(1 3)(2 4)" in err
+        assert "apply_permutation" not in err and "Chain(" not in err
+
     def test_missing_n_for_text_chain_is_usage_error(self, capsys):
         assert run(["validate", "--chain", "(1 2)"]) == 2
         assert "usage error:" in capsys.readouterr().err
