@@ -48,6 +48,8 @@ def _braid(
 
 
 def _check_index(l: int, k: int) -> None:
+    if k < 2:
+        raise ValueError(f"a chain of length {k} has no adjacent positions, got index {l}")
     if not 1 <= l <= k - 1:
         raise ValueError(f"generator index must lie in 1..{k - 1}, got {l}")
 
@@ -91,9 +93,14 @@ def apply_permutation(c: Chain, p: Permutation) -> Chain:
     if p.n != len(c.steps):
         raise ValueError(f"need a permutation of {len(c.steps)} positions, got size {p.n}")
     _require_member(c)
-    # swapping slots l, l+1 multiplies p by the adjacent transposition on the
-    # right, so p times the sort's swaps, in the order made, is the identity
-    steps, w = c.steps, list(p.images)
+    return Chain(c.n, _act(c.steps, p.images))
+
+
+def _act(steps: tuple[Transposition, ...], keys: tuple[int, ...]) -> tuple[Transposition, ...]:
+    # bubble-sort ``keys``, making each swap's generator move: with keys p.images,
+    # p times the swaps' adjacent transpositions, in the order made, is the
+    # identity.  Equal keys never swap, so the i-sequence sorts stably.
+    w = list(keys)
     changed = True
     while changed:
         changed = False
@@ -102,18 +109,13 @@ def apply_permutation(c: Chain, p: Permutation) -> Chain:
                 w[l - 1], w[l] = w[l], w[l - 1]
                 steps = _generator_move(steps, l)
                 changed = True
-    return Chain(c.n, steps)
-
-
-def _stable_sorter(values: tuple[int, ...]) -> Permutation:
-    # p with p acting on ``values`` non-decreasing; ties keep their order
-    order = sorted(range(len(values)), key=lambda t: values[t])
-    return Permutation(tuple(t + 1 for t in order)).inverse()
+    return steps
 
 
 def sort_chain(c: Chain) -> tuple[Permutation, Chain]:
     """The stable sorting permutation ``p`` and the canonical orbit
     representative ``apply_permutation(c, p)``, whose i-sequence is the
     sorted i-sequence of ``c``.  Ties keep their original relative order."""
-    p = _stable_sorter(projection(c))
+    order = sorted(range(1, len(c) + 1), key=lambda t: c.steps[t - 1].i)
+    p = Permutation(tuple(order)).inverse()  # each slot to its rank, ties in slot order
     return p, apply_permutation(c, p)

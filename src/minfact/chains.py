@@ -178,11 +178,12 @@ def validate(c: Chain) -> ValidityReport:
     )
 
 
-def _require_member(c: Chain) -> None:
+def _require_member(c: Chain) -> Chain:
     report = validate(c)
     if not report.is_member:
         why = "is not below the full cycle" if report.is_geodesic else f"has norm below {len(c)}"
         raise ValueError(f"requires a prefix chain; {c} over 1..{c.n} is not one: its product {why}")
+    return c
 
 
 # Leaf steps one walk may keep in its memo, over all the block sets it keeps

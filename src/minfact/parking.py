@@ -42,6 +42,8 @@ __all__ = [
     "normalize",
 ]
 
+_Pair = tuple[tuple[int, ...], frozenset[int]]
+
 
 @dataclass(frozen=True)
 class ParkingInput:
@@ -131,9 +133,12 @@ def residue(inp: ParkingInput) -> int:
     >>> residue(ParkingInput(8, (1, 1, 3, 7), (1, 3, 5, 6, 7)))
     7
     """
-    n = inp.n
-    weight = dict.fromkeys(inp.open_spaces, 1)
-    for e in inp.entries:
+    return _residue(inp.n, inp.entries, inp.open_spaces)
+
+
+def _residue(n: int, entries: tuple[int, ...], open_spaces: frozenset[int]) -> int:
+    weight = dict.fromkeys(open_spaces, 1)
+    for e in entries:
         p = e % n + 1
         weight[p] = weight.get(p, 0) - 1
     best, rho, running = 0, 0, 0
@@ -149,15 +154,17 @@ def shift_value(x: int, t: int, n: int) -> int:
     return (x - 1 + t) % n + 1
 
 
-def shift_pair(
-    a: Iterable[int], b: Iterable[int], t: int, n: int
-) -> tuple[tuple[int, ...], frozenset[int]]:
+def shift_pair(a: Iterable[int], b: Iterable[int], t: int, n: int) -> _Pair:
     """Add ``t`` modulo n to every entry of ``a`` and every element of ``b``."""
     a = tuple(a)
     b = frozenset(b)
     for x in (*a, *b):
         if not 1 <= x <= n:
             raise ValueError(f"value {x} outside 1..{n}")
+    return _shift(a, b, t, n)
+
+
+def _shift(a: tuple[int, ...], b: frozenset[int], t: int, n: int) -> _Pair:
     # shift_value inlined: verify rotates every pair of every fibre
     return tuple((x - 1 + t) % n + 1 for x in a), frozenset((x - 1 + t) % n + 1 for x in b)
 
@@ -173,9 +180,15 @@ def normalize(
     a fault in this module, not in the input.
     """
     inp = ParkingInput(n, a, b)
-    t = (1 - residue(inp)) % n
-    a2, b2 = shift_pair(inp.entries, inp.open_spaces, t, n)
-    rho = residue(ParkingInput(n, a2, b2))
+    return _normalize(n, inp.entries, inp.open_spaces)
+
+
+def _normalize(
+    n: int, a: tuple[int, ...], b: frozenset[int]
+) -> tuple[tuple[int, ...], frozenset[int], int]:
+    t = (1 - _residue(n, a, b)) % n
+    a2, b2 = _shift(a, b, t, n)
+    rho = _residue(n, a2, b2)
     if rho != 1:
         raise RuntimeError(f"normalize: rotating by {t} left residue {rho}, not 1")
     return a2, b2, t

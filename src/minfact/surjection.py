@@ -18,10 +18,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .action import _stable_sorter, apply_permutation, projection, sort_chain
+from .action import _act, projection
 from .chains import DEFAULT_CAP, Chain, _json_fields, _json_int, _json_ints, iter_sigma
+from .chains import _require_member, check_sorted_criterion
 from .counting import count_formula
-from .parking import ParkingInput, normalize, park, residue, shift_pair
+from .parking import ParkingInput, _normalize, _residue, _shift, normalize, park
+from .perms import Transposition
 
 __all__ = [
     "PairAB",
@@ -64,16 +66,15 @@ class PairAB:
 
     def residue(self) -> int:
         """The parking residue of the pair, entries of A parking into B."""
-        return residue(ParkingInput(self.n, self.a, self.b))
+        return _residue(self.n, self.a, self.b)
 
     def shifted(self, t: int) -> PairAB:
         """Add ``t`` modulo n to every value of the pair."""
-        a2, b2 = shift_pair(self.a, self.b, t, self.n)
-        return PairAB(self.n, a2, b2)
+        return PairAB(self.n, *_shift(self.a, self.b, t, self.n))
 
     def normalized(self) -> tuple[PairAB, int]:
         """The rotation of the pair with residue 1, plus the applied shift."""
-        a2, b2, t = normalize(self.a, self.b, self.n)
+        a2, b2, t = _normalize(self.n, self.a, self.b)
         return PairAB(self.n, a2, b2), t
 
     def orbit(self) -> list[PairAB]:
@@ -90,16 +91,15 @@ def gamma(pair: PairAB) -> Chain:
     k <= n - 1).
     """
     a2, b2, _ = normalize(pair.a, pair.b, pair.n)
-    return _gamma_normalized(pair.n, a2, b2)
+    return _require_member(Chain(pair.n, _gamma_normalized(pair.n, a2, b2)))
 
 
-def _gamma_normalized(n: int, a: tuple[int, ...], b: frozenset[int]) -> Chain:
-    # gamma after the rotation: (a, b) must already have residue 1
-    sorter = _stable_sorter(a)
-    entries = tuple(sorted(a))
+def _gamma_normalized(n: int, a: tuple[int, ...], b: frozenset[int]) -> tuple[Transposition, ...]:
+    # gamma's steps for (a, b) of residue 1: park the sorted entries, un-sort
+    order = tuple(sorted(range(len(a)), key=a.__getitem__))
+    entries = tuple(a[t] for t in order)
     taken = park(ParkingInput(n, entries, b)).spaces
-    sorted_chain = Chain.from_pairs(n, zip(entries, taken))
-    return apply_permutation(sorted_chain, sorter.inverse())
+    return _act(tuple(map(Transposition, entries, taken)), order)
 
 
 def section(c: Chain) -> PairAB:
@@ -108,9 +108,9 @@ def section(c: Chain) -> PairAB:
     A is the i-sequence of ``c``; B collects the larger entries of the
     sorted form of ``c`` together with 1.
     """
-    _, sorted_chain = sort_chain(c)
-    b = frozenset(t.j for t in sorted_chain.steps) | {1}
-    return PairAB(c.n, projection(c), b)
+    _require_member(c)
+    a = projection(c)
+    return PairAB(c.n, a, frozenset(t.j for t in _act(c.steps, a)) | {1})
 
 
 def fiber(c: Chain) -> list[PairAB]:
@@ -169,7 +169,8 @@ def verify(n: int, cap: int = DEFAULT_CAP) -> VerifyReport:
     Per k the enumerated chains must match the formula count.  For every
     enumerated chain ``c`` with section ``s``:
 
-    - sections: the tail of ``gamma`` after the rotation maps ``s`` to ``c``;
+    - sections: ``c`` is a member, by ``check_sorted_criterion`` on its sorted
+      form, and the tail of ``gamma`` after the rotation maps ``s`` to ``c``;
     - fibres: that holds, and for every t in 0..n-1 ``normalize`` takes the
       rotation of ``s`` by t back to ``s`` with shift -t mod n.  As
       ``normalize`` reports the shift it applies, the n rotations are then
@@ -192,11 +193,14 @@ def verify(n: int, cap: int = DEFAULT_CAP) -> VerifyReport:
         fibers_ok = True
         for c in chains:
             enumerated += 1
-            s = section(c)
-            back = _gamma_normalized(n, s.a, s.b) == c
+            a = projection(c)
+            ordered = _act(c.steps, a)
+            b = frozenset(t.j for t in ordered) | {1}
+            member = check_sorted_criterion(Chain(n, ordered))
+            back = member and _gamma_normalized(n, a, b) == c.steps
             sections_ok = sections_ok and back
             fibers_ok = fibers_ok and back and all(
-                normalize(*shift_pair(s.a, s.b, t, n), n) == (s.a, s.b, -t % n) for t in range(n)
+                _normalize(n, *_shift(a, b, t, n)) == (a, b, -t % n) for t in range(n)
             )
         rows.append(VerifyRow(k, count_formula(n, k), enumerated, sections_ok, fibers_ok))
     return VerifyReport(n, tuple(rows))

@@ -9,6 +9,7 @@ import hypothesis.strategies as st
 
 from minfact import (
     Chain,
+    PairAB,
     ParkingInput,
     Permutation,
     Transposition,
@@ -132,3 +133,12 @@ def parking_inputs_st(draw, min_n: int = 1, max_n: int = 12, max_k: int = 6) -> 
     entries = tuple(draw(st.lists(st.integers(1, n), min_size=k, max_size=k)))
     opens = draw(st.sets(st.integers(1, n), min_size=k + 1, max_size=k + 1))
     return ParkingInput(n, entries, frozenset(opens))
+
+
+@st.composite
+def pairs_st(draw, min_n: int = 1, max_n: int = 30) -> PairAB:
+    n = draw(st.integers(min_n, max_n))
+    k = draw(st.integers(0, n - 1))
+    a = tuple(draw(st.lists(st.integers(1, n), min_size=k, max_size=k)))
+    b = frozenset(draw(st.sets(st.integers(1, n), min_size=k + 1, max_size=k + 1)))
+    return PairAB(n, a, b)

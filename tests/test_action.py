@@ -2,6 +2,7 @@ import random
 from collections import deque
 
 import pytest
+from hypothesis import given
 
 from minfact import action
 from minfact import (
@@ -10,6 +11,7 @@ from minfact import (
     apply_generator,
     apply_permutation,
     braid_step,
+    gamma,
     intermediate,
     projection,
     sort_chain,
@@ -20,6 +22,7 @@ from helpers import (
     act_on_sequence,
     all_permutations,
     apply_word,
+    pairs_st,
     perm_of_word,
     sigma,
     sigma_all,
@@ -46,7 +49,7 @@ class TestBraidStep:
         assert braid_step(c, 1, inverse=True) == Chain.from_pairs(3, [(1, 2), (2, 3)])
 
     def test_single_step_chain_has_no_generator(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^a chain of length 1 has no adjacent positions"):
             braid_step(Chain.from_pairs(2, [(1, 2)]), 1)
 
     def test_rejects_non_member(self):
@@ -263,3 +266,15 @@ class TestSortChain:
             assert validate(d).is_nondecreasing
             assert apply_permutation(c, p) == d
             assert projection(d) == tuple(sorted(projection(c)))
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_un_sort_by_i_sequence_is_the_stable_sort(self, n):
+        # the one un-sort, keyed by the i-sequence, against apply_permutation
+        # by the stable sorting permutation
+        for c in sigma_all(n):
+            assert action._act(c.steps, projection(c)) == sort_chain(c)[1].steps
+
+    @given(pairs_st(max_n=30))
+    def test_un_sort_by_i_sequence_is_the_stable_sort_on_random_pairs(self, pair):
+        c = gamma(pair)
+        assert action._act(c.steps, projection(c)) == sort_chain(c)[1].steps

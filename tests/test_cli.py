@@ -200,6 +200,13 @@ class TestAct:
         run(["act", "-n", "8", "--chain", "(1 3)(3 8)(3 5)(5 7)", "--perm", "3,4,1,2"])
         assert lines(capsys) == ["(3 8)(5 7)(1 8)(3 7)"]
 
+    @pytest.mark.parametrize("chain,k", [("()", 0), ("(1 2)", 1)])
+    def test_generator_on_a_chain_without_adjacent_positions(self, chain, k, capsys):
+        assert run(["act", "-n", "3", "--chain", chain, "-l", "1"]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"error: a chain of length {k} has no adjacent positions, got index 1\n"
+
 
 class TestInvolute:
     def test_worked(self, capsys):

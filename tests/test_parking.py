@@ -137,10 +137,8 @@ class TestNormalize:
         assert normalize(a, b, 6) == (a, b, 0)
 
     def test_wrong_rotation_raises(self, monkeypatch):
-        shift_pair = minfact.parking.shift_pair
-        monkeypatch.setattr(
-            minfact.parking, "shift_pair", lambda a, b, t, n: shift_pair(a, b, t + 1, n)
-        )
+        shift = minfact.parking._shift
+        monkeypatch.setattr(minfact.parking, "_shift", lambda a, b, t, n: shift(a, b, t + 1, n))
         with pytest.raises(RuntimeError, match="residue"):
             normalize((1, 3, 7, 1), {1, 3, 5, 6, 7}, 8)
 
@@ -148,8 +146,8 @@ class TestNormalize:
         # python -O strips assert statements; the invariant check must survive
         script = (
             "import minfact.parking as P\n"
-            "shift = P.shift_pair\n"
-            "P.shift_pair = lambda a, b, t, n: shift(a, b, t + 1, n)\n"
+            "shift = P._shift\n"
+            "P._shift = lambda a, b, t, n: shift(a, b, t + 1, n)\n"
             "try:\n"
             "    P.normalize((1, 3, 7, 1), {1, 3, 5, 6, 7}, 8)\n"
             "except RuntimeError:\n"

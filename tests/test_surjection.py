@@ -255,8 +255,7 @@ class TestVerify:
         assert time.perf_counter() - start < 1.0
 
 
-@pytest.mark.parametrize("call", [section, fiber, sort_chain])
-def test_membership_is_checked_once_per_call(call, monkeypatch):
+def _count_validate(monkeypatch) -> list:
     checked = []
     real = chains.validate
 
@@ -265,8 +264,61 @@ def test_membership_is_checked_once_per_call(call, monkeypatch):
         return real(c)
 
     monkeypatch.setattr(chains, "validate", counting)
-    call(WORKED_CHAIN)
+    return checked
+
+
+@pytest.mark.parametrize("call", [section, fiber, sort_chain, gamma])
+def test_membership_is_checked_once_per_call(call, monkeypatch):
+    # gamma checks the chain it built, WORKED_CHAIN; a gamma that builds
+    # members by construction may drop that check, and this pin with it
+    checked = _count_validate(monkeypatch)
+    call(WORKED_PAIR if call is gamma else WORKED_CHAIN)
     assert checked == [WORKED_CHAIN]
+
+
+def test_verify_calls_no_validate_and_parks_once_per_chain(monkeypatch):
+    # the walk's chains are trusted: verify checks membership on their sorted
+    # form, and builds one ParkingInput per chain, for its parking run
+    checked = _count_validate(monkeypatch)
+    built = []
+    real_post_init = ParkingInput.__post_init__
+
+    def counting(inp):
+        built.append(inp)
+        real_post_init(inp)
+
+    monkeypatch.setattr(ParkingInput, "__post_init__", counting)
+    report = verify(5)
+    assert report.passed
+    assert checked == []
+    assert len(built) <= sum(row.enumerated for row in report.rows)
+
+
+@pytest.mark.parametrize("tail_agrees", [False, True])
+def test_non_member_from_the_walk_never_passes(tail_agrees, monkeypatch):
+    # the non-member takes the place of the member with its i-sequence and B,
+    # so the counts match.  With tail_agrees, gamma's tail maps that pair, which
+    # has residue 1, to the non-member, so only the membership check can catch it
+    bad, twin = Chain.parse("(1 2)(1 3)", 3), Chain.parse("(1 3)(1 2)", 3)
+    assert not chains.validate(bad).is_member and section(twin) == PairAB(3, (1, 1), {1, 2, 3})
+    real_walk, real_tail = surjection.iter_sigma, surjection._gamma_normalized
+
+    def walk(n, k, cap):
+        return (bad if c == twin else c for c in real_walk(n, k, cap))
+
+    def tail(n, a, b):
+        if tail_agrees and (a, b) == ((1, 1), frozenset({1, 2, 3})):
+            return bad.steps
+        return real_tail(n, a, b)
+
+    monkeypatch.setattr(surjection, "iter_sigma", walk)
+    monkeypatch.setattr(surjection, "_gamma_normalized", tail)
+    try:
+        report = verify(3)
+    except ValueError:
+        return
+    assert not report.passed
+    assert report.rows[2].counts_match
 
 
 class TestVerifyCanFail:
@@ -277,22 +329,22 @@ class TestVerifyCanFail:
         victim = section(sigma(4, 2)[3])
 
         def faulty(n, a, b):
-            c = real(n, a, b)
-            return Chain(n, c.steps[::-1]) if (a, b) == (victim.a, victim.b) else c
+            steps = real(n, a, b)
+            return steps[::-1] if (a, b) == (victim.a, victim.b) else steps
 
         monkeypatch.setattr(surjection, "_gamma_normalized", faulty)
 
     def _misrotate_once(self, monkeypatch):
-        real = surjection.normalize
+        real = surjection._normalize
         victim = fiber(sigma(4, 3)[5])[2]
 
-        def faulty(a, b, n):
-            a2, b2, t = real(a, b, n)
-            if (tuple(a), frozenset(b)) == (victim.a, victim.b):
+        def faulty(n, a, b):
+            a2, b2, t = real(n, a, b)
+            if (a, b) == (victim.a, victim.b):
                 a2, b2 = shift_pair(a2, b2, 1, n)
             return a2, b2, t
 
-        monkeypatch.setattr(surjection, "normalize", faulty)
+        monkeypatch.setattr(surjection, "_normalize", faulty)
 
     def test_wrong_chain_fails_sections_and_fibres(self, monkeypatch):
         self._corrupt_gamma_once(monkeypatch)
@@ -324,16 +376,16 @@ def test_misreported_shift_fails_fibres(monkeypatch):
     # normalize applies the right rotation to one pair of verify(4) but reports
     # shift 3 for 2: the rotations stay distinct and one of them still has
     # shift 0, so only the equation on the shift sees it
-    real = surjection.normalize
+    real = surjection._normalize
     victim = fiber(sigma(4, 3)[5])[2]
 
-    def faulty(a, b, n):
-        a2, b2, t = real(a, b, n)
-        if (tuple(a), frozenset(b)) == (victim.a, victim.b):
+    def faulty(n, a, b):
+        a2, b2, t = real(n, a, b)
+        if (a, b) == (victim.a, victim.b):
             t = (t + 1) % n
         return a2, b2, t
 
-    monkeypatch.setattr(surjection, "normalize", faulty)
+    monkeypatch.setattr(surjection, "_normalize", faulty)
     rows = verify(4).rows
     assert [(r.sections_ok, r.fibers_ok) for r in rows] == [
         (True, True), (True, True), (True, True), (True, False)
