@@ -345,7 +345,10 @@ def check_sorted_criterion(c: Chain) -> bool:
     j_l <= i_m or j_l > j_m.  On sorted chains this decides membership
     exactly as ``validate`` does.
     """
-    steps = c.steps
+    return _sorted_criterion(c.steps)
+
+
+def _sorted_criterion(steps: tuple[Transposition, ...]) -> bool:
     if any(a.i > b.i for a, b in zip(steps, steps[1:])):
         raise ValueError("check_sorted_criterion requires a non-decreasing i-sequence")
     for l in range(len(steps)):

@@ -19,7 +19,7 @@ from typing import Sequence
 from .chains import Chain, DEFAULT_CAP, _walk, involute, validate
 from .counting import count_formula
 from .action import apply_generator, apply_permutation
-from .parking import ParkingInput, park_trace
+from .parking import ParkingInput, park, park_trace
 from .perms import Permutation
 from .surjection import PairAB, fiber, gamma, section, verify
 
@@ -164,7 +164,8 @@ def _cmd_park(args: argparse.Namespace) -> int:
     if args.b is None:
         raise UsageError("--b (open spaces) is required")
     inp = ParkingInput(args.n, _ints(args.a or ""), frozenset(_ints(args.b)))
-    outcome, visits = park_trace(inp)
+    # the probe lists are O(n) long, so only --trace builds them
+    outcome, visits = park_trace(inp) if args.trace else (park(inp), ())
     if args.format == "json":
         payload = outcome.to_json()
         if args.trace:

@@ -4,29 +4,22 @@
 them are open.  Cars are processed from the LAST entry point to the first:
 a car entering after space ``e`` takes the first open, still-free space
 strictly after ``e`` in cyclic order (``e`` itself is reached again only
-after a full loop).  Since open spaces always outnumber the cars still to
-park, every car parks, and exactly one open space is left over — the
-*residue*.
+after a full loop).  That space is e's successor in the sorted list of free
+open spaces, wrapping to its smallest element, so each car costs one
+bisection and no work grows with n.  Since open spaces always outnumber the
+cars still to park, every car parks, and exactly one open space is left
+over: the *residue*.
 
 The process commutes with rotating every label by a constant, permuting the
 entries permutes the taken spaces as a multiset and fixes the residue, and
-when the residue is 1 every car parks strictly above its entry point.
-``normalize`` applies the unique rotation that makes the residue 1.
-
-The residue needs no simulation.  Weight each space p by [p open] minus the
-number of cars that probe p first (a car entering after e probes e mod n + 1
-first), and let C(x) be the running sum of the weights over 1..x; C(n) = 1.
-No car reaches the leftover space r, so no arc ending just before r has more
-arrivals than open spaces, and as the k cars fill the other k open spaces,
-every arc starting just after r has at least as many.  That is, C(x) <= C(r)
-for x > r and C(x) < C(r) for x < r: the residue is the first point that
-maximises C.  This is the cycle lemma of Dvoretzky and Motzkin, as in
-Pollak's circular argument.  ``park`` and ``park_trace`` keep the simulation
-and are the oracle for it.
+when the residue is 1 every car parks strictly above its entry point.  By
+the cycle lemma of Dvoretzky and Motzkin, as in Pollak's circular argument,
+exactly one rotation of a pair has residue 1; ``normalize`` applies it.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -91,26 +84,13 @@ class CarTrace:
     parked: int
 
 
-def park_trace(inp: ParkingInput) -> tuple[ParkingOutcome, tuple[CarTrace, ...]]:
-    """Run the parking process, also returning per-car traces in entrance
-    order (last entry first)."""
-    free = set(inp.open_spaces)
-    spaces = [0] * len(inp.entries)
-    visits = []
-    for l in range(len(inp.entries) - 1, -1, -1):
-        entry = inp.entries[l]
-        probed = []
-        x = entry
-        for _ in range(inp.n):
-            x = x % inp.n + 1
-            probed.append(x)
-            if x in free:
-                break
-        free.remove(x)
-        spaces[l] = x
-        visits.append(CarTrace(entry, tuple(probed), x))
-    (leftover,) = free
-    return ParkingOutcome(tuple(spaces), leftover), tuple(visits)
+def _park(entries: tuple[int, ...], open_spaces: Iterable[int]) -> tuple[tuple[int, ...], int]:
+    # the taken spaces, aligned with the entries, and the leftover open space
+    free = sorted(open_spaces)
+    spaces = [0] * len(entries)
+    for l in range(len(entries) - 1, -1, -1):
+        spaces[l] = free.pop(bisect_right(free, entries[l]) % len(free))
+    return tuple(spaces), free[0]
 
 
 def park(inp: ParkingInput) -> ParkingOutcome:
@@ -120,33 +100,32 @@ def park(inp: ParkingInput) -> ParkingOutcome:
     >>> park(ParkingInput(8, (1, 1, 3, 7), (1, 3, 5, 6, 7)))
     ParkingOutcome(spaces=(6, 3, 5, 1), residue=7)
     """
-    return park_trace(inp)[0]
+    return ParkingOutcome(*_park(inp.entries, inp.open_spaces))
+
+
+def park_trace(inp: ParkingInput) -> tuple[ParkingOutcome, tuple[CarTrace, ...]]:
+    """Run the parking process, also returning per-car traces in entrance
+    order (last entry first).
+
+    A car probes the cyclic run e + 1, ..., p from its entry e to its space
+    p, so the traces hold O(n) spaces when a car wraps round the circle.
+    """
+    outcome = park(inp)
+    n = inp.n
+    visits = tuple(
+        CarTrace(e, tuple((e + d) % n + 1 for d in range((p - e - 1) % n + 1)), p)
+        for e, p in zip(reversed(inp.entries), reversed(outcome.spaces))
+    )
+    return outcome, visits
 
 
 def residue(inp: ParkingInput) -> int:
     """The single open space left over by the parking process.
 
-    The first maximiser of the running weight sum (module docstring).  Only
-    open spaces and first-probe points carry weight, so this costs
-    O(k log k) and never walks the n spaces.
-
     >>> residue(ParkingInput(8, (1, 1, 3, 7), (1, 3, 5, 6, 7)))
     7
     """
-    return _residue(inp.n, inp.entries, inp.open_spaces)
-
-
-def _residue(n: int, entries: tuple[int, ...], open_spaces: frozenset[int]) -> int:
-    weight = dict.fromkeys(open_spaces, 1)
-    for e in entries:
-        p = e % n + 1
-        weight[p] = weight.get(p, 0) - 1
-    best, rho, running = 0, 0, 0
-    for p in sorted(weight):
-        running += weight[p]
-        if running > best:
-            best, rho = running, p
-    return rho
+    return _park(inp.entries, inp.open_spaces)[1]
 
 
 def shift_value(x: int, t: int, n: int) -> int:
@@ -186,9 +165,9 @@ def normalize(
 def _normalize(
     n: int, a: tuple[int, ...], b: frozenset[int]
 ) -> tuple[tuple[int, ...], frozenset[int], int]:
-    t = (1 - _residue(n, a, b)) % n
+    t = (1 - _park(a, b)[1]) % n
     a2, b2 = _shift(a, b, t, n)
-    rho = _residue(n, a2, b2)
+    rho = _park(a2, b2)[1]
     if rho != 1:
         raise RuntimeError(f"normalize: rotating by {t} left residue {rho}, not 1")
     return a2, b2, t

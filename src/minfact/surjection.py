@@ -20,9 +20,9 @@ from dataclasses import dataclass
 
 from .action import _act, projection
 from .chains import DEFAULT_CAP, Chain, _json_fields, _json_int, _json_ints, iter_sigma
-from .chains import _require_member, check_sorted_criterion
+from .chains import _require_member, _sorted_criterion
 from .counting import count_formula
-from .parking import ParkingInput, _normalize, _residue, _shift, normalize, park
+from .parking import ParkingInput, _normalize, _park, _shift, normalize, park
 from .perms import Transposition
 
 __all__ = [
@@ -66,7 +66,7 @@ class PairAB:
 
     def residue(self) -> int:
         """The parking residue of the pair, entries of A parking into B."""
-        return _residue(self.n, self.a, self.b)
+        return _park(self.a, self.b)[1]
 
     def shifted(self, t: int) -> PairAB:
         """Add ``t`` modulo n to every value of the pair."""
@@ -196,7 +196,7 @@ def verify(n: int, cap: int = DEFAULT_CAP) -> VerifyReport:
             a = projection(c)
             ordered = _act(c.steps, a)
             b = frozenset(t.j for t in ordered) | {1}
-            member = check_sorted_criterion(Chain(n, ordered))
+            member = _sorted_criterion(ordered)
             back = member and _gamma_normalized(n, a, b) == c.steps
             sections_ok = sections_ok and back
             fibers_ok = fibers_ok and back and all(

@@ -8,9 +8,11 @@ from itertools import permutations, product
 import hypothesis.strategies as st
 
 from minfact import (
+    CarTrace,
     Chain,
     PairAB,
     ParkingInput,
+    ParkingOutcome,
     Permutation,
     Transposition,
     VerifyReport,
@@ -75,6 +77,28 @@ def verify_oracle(n: int) -> VerifyReport:
                 fibers_ok = False
         rows.append(VerifyRow(k, count_formula(n, k), len(chains), sections_ok, fibers_ok))
     return VerifyReport(n, tuple(rows))
+
+
+def park_by_walking(inp: ParkingInput) -> tuple[ParkingOutcome, tuple[CarTrace, ...]]:
+    """Oracle for ``park`` and ``park_trace``: every car walks the circle
+    one space at a time until it finds a free open space."""
+    free = set(inp.open_spaces)
+    spaces = [0] * len(inp.entries)
+    visits = []
+    for l in range(len(inp.entries) - 1, -1, -1):
+        entry = inp.entries[l]
+        probed = []
+        x = entry
+        for _ in range(inp.n):
+            x = x % inp.n + 1
+            probed.append(x)
+            if x in free:
+                break
+        free.remove(x)
+        spaces[l] = x
+        visits.append(CarTrace(entry, tuple(probed), x))
+    (leftover,) = free
+    return ParkingOutcome(tuple(spaces), leftover), tuple(visits)
 
 
 def sorted_i_chains(n: int, k: int):

@@ -186,6 +186,20 @@ class TestPark:
             "trace": [{"entry": 1, "probed": [2], "parked": 2}],
         }
 
+    @pytest.mark.parametrize(
+        "fmt,out",
+        [("text", b"spaces: 1\nresidue: 2\n"), ("json", b'{"spaces": [1], "residue": 2}\n')],
+        ids=["text", "json"],
+    )
+    def test_huge_n_parks_without_walking_the_circle(self, fmt, out):
+        # the car entering after 3 wraps past 10^8 spaces to space 1
+        env = {**os.environ, "PYTHONPATH": str(Path(minfact.__file__).resolve().parents[1])}
+        argv = ["park", "-n", "100000000", "--a", "3", "--b", "1,2", "--format", fmt]
+        proc = subprocess.run(
+            [sys.executable, "-m", "minfact", *argv], capture_output=True, env=env, timeout=10
+        )
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, out, b"")
+
 
 class TestAct:
     def test_single_generator(self, capsys):

@@ -21,7 +21,7 @@ from minfact import (
     shift_value,
 )
 
-from helpers import parking_inputs_st
+from helpers import park_by_walking, parking_inputs_st
 
 
 class TestParkingInput:
@@ -75,17 +75,18 @@ class TestResidue:
         assert residue(ParkingInput(6, (), {4})) == 4
         assert residue(ParkingInput(3, (1,), {2, 3})) == 3
 
-    # the closed form against the simulation it replaces
+    # the bisection against the walk round the circle it replaces: the
+    # residue, the outcome and every car's trace
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
     def test_shadow_exhaustive(self, n):
         for k in range(n):
             for inp in _exhaustive_inputs(n, k):
-                assert residue(inp) == park_trace(inp)[0].residue, inp
+                _assert_parks_as_walking(inp)
 
     @given(parking_inputs_st(max_n=30, max_k=29))
     def test_shadow_random(self, inp):
-        assert residue(inp) == park_trace(inp)[0].residue
+        _assert_parks_as_walking(inp)
 
     def test_shadow_sparse(self):
         rng = random.Random(10_000)
@@ -93,7 +94,14 @@ class TestResidue:
         for _ in range(5):
             entries = tuple(rng.randint(1, n) for _ in range(k))
             inp = ParkingInput(n, entries, frozenset(rng.sample(range(1, n + 1), k + 1)))
-            assert residue(inp) == park_trace(inp)[0].residue
+            _assert_parks_as_walking(inp)
+
+
+def _assert_parks_as_walking(inp):
+    outcome, visits = park_by_walking(inp)
+    assert residue(inp) == outcome.residue, inp
+    assert park(inp) == outcome, inp
+    assert park_trace(inp) == (outcome, visits), inp
 
 
 class TestShiftPair:

@@ -276,22 +276,35 @@ def test_membership_is_checked_once_per_call(call, monkeypatch):
     assert checked == [WORKED_CHAIN]
 
 
+def _count_built(monkeypatch, cls) -> list:
+    built = []
+    real_post_init = cls.__post_init__
+
+    def counting(obj):
+        built.append(obj)
+        real_post_init(obj)
+
+    monkeypatch.setattr(cls, "__post_init__", counting)
+    return built
+
+
 def test_verify_calls_no_validate_and_parks_once_per_chain(monkeypatch):
     # the walk's chains are trusted: verify checks membership on their sorted
     # form, and builds one ParkingInput per chain, for its parking run
     checked = _count_validate(monkeypatch)
-    built = []
-    real_post_init = ParkingInput.__post_init__
-
-    def counting(inp):
-        built.append(inp)
-        real_post_init(inp)
-
-    monkeypatch.setattr(ParkingInput, "__post_init__", counting)
+    built = _count_built(monkeypatch, ParkingInput)
     report = verify(5)
     assert report.passed
     assert checked == []
     assert len(built) <= sum(row.enumerated for row in report.rows)
+
+
+def test_verify_builds_one_chain_per_chain(monkeypatch):
+    # the walk's Chain is the only one: the sorted form is checked as steps
+    built = _count_built(monkeypatch, Chain)
+    report = verify(5)
+    assert report.passed
+    assert len(built) == sum(row.enumerated for row in report.rows)
 
 
 @pytest.mark.parametrize("tail_agrees", [False, True])
