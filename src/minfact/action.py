@@ -116,6 +116,7 @@ def sort_chain(c: Chain) -> tuple[Permutation, Chain]:
     """The stable sorting permutation ``p`` and the canonical orbit
     representative ``apply_permutation(c, p)``, whose i-sequence is the
     sorted i-sequence of ``c``.  Ties keep their original relative order."""
-    order = sorted(range(1, len(c) + 1), key=lambda t: c.steps[t - 1].i)
-    p = Permutation(tuple(order)).inverse()  # each slot to its rank, ties in slot order
+    order = sorted(range(len(c)), key=lambda t: c.steps[t].i)  # slots by i, ties in slot order
+    # each slot to its rank: the ranks, sorted by the slot each one holds
+    p = Permutation(tuple(sorted(range(1, len(c) + 1), key=lambda rank: order[rank - 1])))
     return p, apply_permutation(c, p)

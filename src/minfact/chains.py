@@ -12,15 +12,17 @@ and k, each from its parent by one step.  It is written once, as a fold:
 ``iter_sigma`` folds it into a stream of chains, ``enumerate_sigma`` lists
 them, and ``minfact enumerate`` folds it into output lines.  A chain's next
 steps are the pairs inside the blocks of the permutation still to go to the
-full cycle, so they depend on that block set alone; the last steps of the
-many chains that reach one block set are made once and kept in a bounded memo.
+full cycle, so all below a chain depends on that block set alone; the last
+steps of the many chains that reach one block set are made once, as one value,
+and kept in a memo whose depth the closed-form counts set before the walk.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache
-from itertools import repeat
+from itertools import combinations, repeat, starmap
+from math import comb
 from typing import Callable, Iterable, Iterator, Sequence, TypeVar
 
 from .counting import count_formula
@@ -186,9 +188,30 @@ def _require_member(c: Chain) -> Chain:
     return c
 
 
-# Leaf steps one walk may keep in its memo, over all the block sets it keeps
+# Suffixes one walk may keep in its memo, over all the block sets it keeps
 _MEMO_PAIRS = 1 << 16
 _Blocks = tuple[tuple[int, ...], ...]
+
+
+def _completions(blocks: _Blocks, r: int) -> int:
+    # a block of m points is the walk's root for n = m, and blocks' steps
+    # shuffle; one step is a pair inside a block, the case a full memo meets most
+    if r == 1:
+        return sum(len(b) * (len(b) - 1) // 2 for b in blocks)
+    ways = [1] + [0] * r
+    for m in map(len, blocks):
+        for t in range(r, 0, -1):
+            ways[t] += sum(comb(t, s) * count_formula(m, s) * ways[t - s] for s in range(1, t + 1))
+    return ways[r]
+
+
+def _memo_level(n: int, k: int) -> int:
+    # the deepest r in 2..k-2 whose suffixes at depth k - r fit the budget, else
+    # 1; they are estimated as the block sets there, a Narayana number (Kreweras
+    # 1972), times the mean completions of a chain, rounded up
+    fits = [r for r in range(2, k - 1) if comb(n, k - r + 1) * comb(n, k - r) // n
+            * -(-count_formula(n, k) // count_formula(n, k - r)) <= _MEMO_PAIRS]
+    return max(fits, default=1)
 
 
 def _walk(
@@ -198,13 +221,15 @@ def _walk(
     root: T,
     grow: Callable[[T, int, int], T],
     leaf: Callable[[int, int], L],
-) -> Iterator[tuple[T, Sequence[L]]]:
+) -> Iterator[tuple[T, Sequence]]:
     """The DFS over the k-prefixes, folded: the empty chain is ``root``, a chain
-    with children is ``grow(its parent, i, j)`` for its last step (i j), and the
-    leaves come in batches ``(acc, leaves)``: the chains ``acc`` plus one step
-    (i j) each, given as ``leaf(i, j)``.  Chains come in lexicographic step
-    order; arguments and ``cap`` are checked at the call.  No batch comes for
-    k >= n, nor for k = 0, whose one chain is ``root`` itself."""
+    with children is ``grow(its parent, i, j)`` for its last step (i j), and
+    chains come in batches ``(acc, suffixes)``: ``acc`` plus each of its suffixes
+    of r = k - len(chain acc) steps, grown from ``root[:0]`` to a ``leaf(i, j)``,
+    as lines joined by newlines for a str ``root``, else as one flat tuple of r
+    items each.  Chains come in lexicographic step order; arguments and ``cap``
+    are checked at the call.  No batch comes for k >= n, nor for k = 0, whose
+    one chain is ``root`` itself."""
     expected = count_formula(n, k)
     if expected > cap:
         raise CapExceeded(
@@ -222,18 +247,22 @@ def _walk(
     # gamma one norm more, so gamma is not kept.  A block of one point holds no
     # step and is dropped.  Shadow-tested against ``validate``.
     #
-    # So a chain's children, and a leaf-parent's leaf steps (the pairs inside
-    # its blocks), depend on its block set alone, not on the path to it.  The
-    # set fixes gamma, and Dénes' m^(m-2) minimal factorisations of an m-cycle,
-    # shuffled over gamma's cycles c, give d! prod |c|^(|c|-2) / (|c|-1)!
-    # chains of length d to it: Sigma(9, 5) has 91,854 leaf-parents over 1,764
-    # block sets.  So leaf-parents at depth k - 1 >= 2 take their leaves from
-    # a memo keyed by the block set, which keeps at most _MEMO_PAIRS leaves,
-    # each leaf(i, j) made once and shared.  The root and depth-1 sets never
-    # recur, and a set past the budget streams its leaves in batches of at most
-    # _MEMO_PAIRS per smaller entry i, so memo and batches are bounded for any n.
-    memo: dict[_Blocks, tuple[L, ...]] = {}
+    # So all below a chain depends on its block set alone, not on the path to
+    # it.  The set fixes gamma, and Dénes' m^(m-2) minimal factorisations of an
+    # m-cycle, shuffled over gamma's cycles c, give d! prod |c|^(|c|-2) /
+    # (|c|-1)! chains of length d to it: Sigma(9, 3) has 10,206 chains over
+    # 1,176 block sets.  So chains at depth k - _memo_level(n, k) >= 2 take all
+    # their suffixes, as one value, from a memo keyed by the block set, built
+    # the first time the set is met and admitted while the memo keeps at most
+    # _MEMO_PAIRS suffixes.  A chain not admitted walks on, and its
+    # leaf-parents try the memo with r = 1.  The root and depth-1 sets never
+    # recur, and a leaf-parent past the budget streams its leaves in batches of
+    # at most _MEMO_PAIRS per smaller entry i, so memo and batches are bounded.
+    memo: dict[_Blocks, Sequence] = {}
     shared = cache(leaf)
+    text = isinstance(root, str)
+    packed = "\n".join if text else tuple
+    level = _memo_level(n, k)
     room = _MEMO_PAIRS
     cut = max(_MEMO_PAIRS, 1)
 
@@ -244,26 +273,39 @@ def _walk(
             return zip(blocks[0], repeat(0), range(len(blocks[0]) - 1))
         return sorted((i, b, s) for b, block in enumerate(blocks) for s, i in enumerate(block[:-1]))
 
-    def stream(acc: T, blocks: _Blocks) -> Iterator[tuple[T, list[L]]]:
+    def stream(acc: T, blocks: _Blocks) -> Iterator[tuple[T, Sequence]]:
         # a batch per smaller entry i, cut to the memo's budget of leaves
         for i, b, s in steps(blocks):
             block = blocks[b]
             for t in range(s + 1, len(block), cut):
-                yield acc, [leaf(i, j) for j in block[t:t + cut]]
+                yield acc, packed([leaf(i, j) for j in block[t:t + cut]])
 
-    def recall(blocks: _Blocks) -> tuple[L, ...] | None:
+    def suffixes(blocks: _Blocks, r: int) -> Sequence:
+        # every r-step suffix of the block set; a tail of 2 or more steps is kept,
+        # room permitting, while a row of leaves is as cheap to remake as to find
+        if r == 1:  # the pairs inside the blocks, in order
+            return packed(starmap(shared, sorted(p for block in blocks for p in combinations(block, 2))))
+        tails = [
+            (head, r > 2 and recall(child, r - 1) or suffixes(child, r - 1))
+            for head, child in children(root[:0], blocks)
+        ]
+        if text:
+            return "\n".join(head + tail.replace("\n", "\n" + head) for head, tail in tails)
+        return tuple(
+            x for head, tail in tails for c in range(0, len(tail), r - 1) for x in head + tail[c:c + r - 1]
+        )
+
+    def recall(blocks: _Blocks, r: int) -> Sequence | None:
         nonlocal room
         key = tuple(sorted(blocks))  # the block set, as one sorted tuple
-        leaves = memo.get(key)
-        if leaves is None:
-            size = sum(len(b) * (len(b) - 1) // 2 for b in blocks)
+        kept = memo.get(key)
+        if kept is None:
+            size = _completions(blocks, r)
             if size > room:
                 return None
             room -= size
-            leaves = memo[key] = tuple(
-                shared(i, j) for i, b, s in steps(blocks) for j in blocks[b][s + 1:]
-            )
-        return leaves
+            kept = memo[key] = suffixes(blocks, r)
+        return kept
 
     def children(acc: T, blocks: _Blocks) -> Iterator[tuple[T, _Blocks]]:
         for i, b, s in steps(blocks):
@@ -276,21 +318,23 @@ def _walk(
                     child += (block[:s] + block[t:],)
                 yield grow(acc, i, block[t]), child
 
-    def batches() -> Iterator[tuple[T, Sequence[L]]]:
+    def batches() -> Iterator[tuple[T, Sequence]]:
         # stack[-1] makes the chains of length len(stack) - 1, the root's one
         # block first, so every batch is yielded from this one frame, not
-        # handed up through k generators
+        # handed up through k generators; chains level or 1 steps short of k
+        # look up the memo, from depth 2 on
         stack = [iter(((root, (tuple(range(1, n + 1)),)),))]
+        keyed = {k + 1 - level, k} - {1, 2}
         while stack:
             for acc, blocks in stack[-1]:
-                if len(stack) < k:
+                kept = len(stack) in keyed and recall(blocks, k + 1 - len(stack))
+                if kept:
+                    yield acc, kept
+                elif len(stack) < k:
                     stack.append(children(acc, blocks))
                     break
-                leaves = recall(blocks) if len(stack) > 2 else None
-                if leaves is None:
-                    yield from stream(acc, blocks)
                 else:
-                    yield acc, leaves
+                    yield from stream(acc, blocks)
             else:
                 stack.pop()
 
@@ -310,7 +354,12 @@ def iter_sigma(n: int, k: int, cap: int = DEFAULT_CAP) -> Iterator[Chain]:
     batches = _walk(n, k, cap, (), grow, Transposition)
     if k == 0:
         return iter((Chain(n, ()),))
-    return (Chain(n, (*steps, step)) for steps, leaves in batches for step in leaves)
+    return (  # r = k - len(steps) steps in each run of ``flat``
+        Chain(n, steps + flat[c:c + r])
+        for steps, flat in batches
+        for r in (k - len(steps),)
+        for c in range(0, len(flat), r)
+    )
 
 
 def enumerate_sigma(n: int, k: int, cap: int = DEFAULT_CAP) -> list[Chain]:

@@ -93,21 +93,21 @@ def _cmd_count(args: argparse.Namespace) -> int:
 
 
 def _cmd_enumerate(args: argparse.Namespace) -> int:
-    # a line is its leaf-parent's line plus the leaf's label, so a batch of
-    # leaves goes out as one string; a JSON step carries the ", " after it and a
-    # leaf the "]}" that ends the line
+    # a line is a chain's line plus one of its suffixes, so a batch goes out as
+    # one string; a JSON step carries the ", " after it and a leaf the "]}"
+    # that ends the line
     if args.format == "json":
-        root, step, leaf, empty = f'{{"n": {args.n}, "steps": [', "[{}, {}], ", "[{}, {}]]}}", "]}"
+        root, leaf, empty = f'{{"n": {args.n}, "steps": [', "[{}, {}]]}}", "]}"
+        grow = lambda acc, i, j: f"{acc}[{i}, {j}], "
     else:
-        root, step, leaf, empty = "", "({} {})", "({} {})", ""
-    batches = _walk(
-        args.n, args.k, args.cap, root, lambda acc, i, j: acc + step.format(i, j), leaf.format
-    )
+        root, leaf, empty = "", "({} {})", ""
+        grow = lambda acc, i, j: f"{acc}({i} {j})"
+    batches = _walk(args.n, args.k, args.cap, root, grow, leaf.format)
     write = sys.stdout.write
     if args.k == 0:  # the empty chain, which no batch holds
         write(root + empty + "\n")
-    for acc, labels in batches:
-        write(acc + ("\n" + acc).join(labels) + "\n")
+    for acc, lines in batches:
+        write(acc + lines.replace("\n", "\n" + acc) + "\n")
     return 0
 
 

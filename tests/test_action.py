@@ -268,6 +268,14 @@ class TestSortChain:
             assert projection(d) == tuple(sorted(projection(c)))
 
     @pytest.mark.parametrize("n", range(1, 7))
+    def test_ranks_are_the_inverse_of_the_stable_order(self, n):
+        # sort_chain builds the ranks directly; the old expression inverted
+        # the stable order as a second Permutation
+        for c in sigma_all(n):
+            order = sorted(range(1, len(c) + 1), key=lambda t: c.steps[t - 1].i)
+            assert sort_chain(c)[0] == Permutation(tuple(order)).inverse()
+
+    @pytest.mark.parametrize("n", range(1, 7))
     def test_un_sort_by_i_sequence_is_the_stable_sort(self, n):
         # the one un-sort, keyed by the i-sequence, against apply_permutation
         # by the stable sorting permutation

@@ -1,7 +1,8 @@
 import hashlib
 import time
 import tracemalloc
-from itertools import islice
+from collections import Counter
+from itertools import islice, zip_longest
 from math import comb
 
 import pytest
@@ -149,6 +150,19 @@ class TestEnumerate:
         text = "\n".join(map(str, iter_sigma(n, k)))
         assert hashlib.sha256(text.encode()).hexdigest() == digest
 
+    @pytest.mark.parametrize(
+        "fmt,digest",
+        [
+            ("text", "3963a08c565da591d7ce8f78a9b490b7ce313ab104a414b27c2590b22d669fe6"),
+            ("json", "2ce33074a2ed08e187476134a40e29ef9edfb2f18a9417374d56de261ecabcb2"),
+        ],
+    )
+    def test_deepest_walk_lines_pinned(self, fmt, digest, capsys):
+        # the bytes of `minfact enumerate -n 8 -k 7`, where the memo keeps
+        # suffixes of 4 steps; CI pins -n 9 -k 8 as well
+        out = _enumerated(capsys, 8, 7, fmt)
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
     def test_json_lines_pinned(self, capsys):
         # the bytes of `minfact enumerate -n 8 -k 4 --format json`; the
         # benchmark pins only the text format
@@ -219,29 +233,68 @@ def _enumerated(capsys, n, k, fmt):
     return out
 
 
+def _level(n, k, r):
+    # the walk's estimate of the suffixes r steps short of k: the block sets at
+    # depth k - r, a Narayana number, times the mean completions, rounded up
+    return comb(n, k - r + 1) * comb(n, k - r) // n * -(-count_formula(n, k) // count_formula(n, k - r))
+
+
+def _same(chains, expected):
+    # compared in step, so that neither list is held
+    return all(c == d for c, d in zip_longest(chains, expected))
+
+
 class TestLeafMemo:
-    # The memo of leaf steps by block set is a cache: a walk with no room for
-    # it streams every leaf-parent, and one with a little room keeps some states
-    # and streams the rest.  Both must give what the memo gives.
+    # The memo of suffixes by block set is a cache: a walk with no room for it
+    # streams every leaf-parent, one with a little room keeps a few block sets
+    # and walks on from the rest, and one with half the room its level needs
+    # keeps about half of that level.  All must give what the default budget
+    # gives.
 
     @pytest.mark.parametrize("n", range(1, 9))
     def test_budget_changes_nothing(self, n, monkeypatch, capsys):
         # for n < 8 the lines equal the Chain folds by
-        # test_cli.py::TestEnumerate::test_lines_match_the_chains.  n = 8 has
-        # 672,605 chains over all k: there only the text lines are compared
-        formats, budgets = (("text", "json"), (0, 40)) if n < 8 else (("text",), (0,))
+        # test_cli.py::TestEnumerate::test_lines_match_the_chains
         for k in range(n + 1):
-            lines = [_enumerated(capsys, n, k, fmt) for fmt in formats]
-            memo = list(iter_sigma(n, k)) if n < 8 else None
-            for budget in budgets:
+            lines = [_enumerated(capsys, n, k, fmt) for fmt in ("text", "json")]
+            level = chains._memo_level(n, k)
+            half = _level(n, k, level) // 2 if 3 <= k < n else 0
+            for budget, fixed in ((0, False), (40, False), (half, True)):
+                memo = iter_sigma(n, k)  # made under the default budget
                 monkeypatch.setattr(chains, "_MEMO_PAIRS", budget)
-                assert [_enumerated(capsys, n, k, fmt) for fmt in formats] == lines, (k, budget)
-                if n < 8:
-                    plain = list(iter_sigma(n, k))
-                    assert plain == memo, (k, budget)
-                    if comb(n, 2) ** k <= 20_000:
-                        assert plain == brute_sigma(n, k), (k, budget)
+                if fixed:  # keep the level the default budget chooses
+                    monkeypatch.setattr(chains, "_memo_level", lambda n, k: level)
+                assert [_enumerated(capsys, n, k, fmt) for fmt in ("text", "json")] == lines, (k, budget)
+                assert _same(iter_sigma(n, k), memo), (k, budget)
+                if comb(n, 2) ** k <= 20_000:
+                    assert list(iter_sigma(n, k)) == brute_sigma(n, k), (k, budget)
                 monkeypatch.undo()
+
+    @pytest.mark.parametrize(
+        "n,k,level",
+        [(9, 5, 2), (8, 7, 4), (9, 8, 3), (6, 5, 3), (16, 3, 1), (9, 3, 1), (9, 2, 1), (9, 1, 1)],
+    )
+    def test_level_from_the_closed_forms(self, n, k, level):
+        # the deepest level in 2..k-2 whose estimated suffixes fit the budget:
+        # (9, 5) keeps 2 steps, estimated at 63,504 suffixes, as 3 would need
+        # 244,944; at k <= 3 no level is deep enough and leaf-parents keep 1
+        assert chains._memo_level(n, k) == level
+        if level > 1:
+            assert _level(n, k, level) <= chains._MEMO_PAIRS
+            assert all(_level(n, k, r) > chains._MEMO_PAIRS for r in range(level + 1, k - 1))
+
+    @pytest.mark.parametrize("n", range(2, 7))
+    def test_completions_count_the_suffixes(self, n):
+        # the size the memo admits an entry at: the chains of length k that
+        # extend a chain of length d, counted from the walk, against the closed
+        # form on the blocks of what is left of the full cycle
+        for k in range(2, n):
+            for d in range(1, k):
+                below = Counter(Chain(n, c.steps[:d]) for c in iter_sigma(n, k))
+                for c, count in below.items():
+                    phi = intermediate(c, d).inverse() * Permutation.long_cycle(n)
+                    blocks = tuple(cycle for cycle in phi.cycles() if len(cycle) > 1)
+                    assert chains._completions(blocks, k - d) == count, (c, k)
 
     def test_memo_stays_within_its_budget(self, monkeypatch):
         # at (16, 3) the leaf-parents hold 218,400 leaves over 4,200 block sets;
