@@ -21,7 +21,7 @@ from .counting import count_formula
 from .action import apply_generator, apply_permutation
 from .parking import ParkingInput, park, park_trace
 from .perms import Permutation
-from .surjection import PairAB, fiber, gamma, section, verify
+from .surjection import PairAB, _verify_rows, gamma, section, verify
 
 __all__ = ["run", "main"]
 
@@ -112,21 +112,29 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    report = verify(args.n, args.cap)
     if args.format == "json":
+        report = verify(args.n, args.cap)
         print(json.dumps(report.to_json()))
-    else:
-        def mark(ok: bool) -> str:
-            return "ok" if ok else "FAIL"
+        return 0 if report.passed else 1
 
-        print(f"{'k':>3} {'formula':>10} {'enumerated':>10} {'counts':>7} {'sections':>9} {'fibres':>7}")
-        for row in report.rows:
-            print(
-                f"{row.k:>3} {row.formula:>10} {row.enumerated:>10} "
-                f"{mark(row.counts_match):>7} {mark(row.sections_ok):>9} {mark(row.fibers_ok):>7}"
-            )
-        print("PASS" if report.passed else "FAIL")
-    return 0 if report.passed else 1
+    def mark(ok: bool) -> str:
+        return "ok" if ok else "FAIL"
+
+    # n and --cap are checked before the header; each row is flushed as its k
+    # is checked, so the rows written stay written if a later one fails
+    rows = _verify_rows(args.n, args.cap)
+    print(f"{'k':>3} {'formula':>10} {'enumerated':>10} {'counts':>7} {'sections':>9} {'fibres':>7}",
+          flush=True)
+    passed = True
+    for row in rows:
+        print(
+            f"{row.k:>3} {row.formula:>10} {row.enumerated:>10} "
+            f"{mark(row.counts_match):>7} {mark(row.sections_ok):>9} {mark(row.fibers_ok):>7}",
+            flush=True,
+        )
+        passed = passed and row.passed
+    print("PASS" if passed else "FAIL")
+    return 0 if passed else 1
 
 
 def _cmd_validate(args: argparse.Namespace) -> int:
@@ -155,8 +163,10 @@ def _cmd_section(args: argparse.Namespace) -> int:
 
 
 def _cmd_fiber(args: argparse.Namespace) -> int:
-    for pair in fiber(_chain_from_args(args)):
-        _print_pair(pair, args.format)
+    # fiber()'s orbit, one rotation at a time: n of them are never held at once
+    s = section(_chain_from_args(args))
+    for t in range(s.n):
+        _print_pair(s.shifted(t), args.format)
     return 0
 
 

@@ -17,6 +17,7 @@ enumeration.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterable, Iterator
 
 from .action import _act, projection
 from .chains import DEFAULT_CAP, Chain, _json_fields, _json_int, _json_ints, iter_sigma
@@ -177,30 +178,38 @@ def verify(n: int, cap: int = DEFAULT_CAP) -> VerifyReport:
       distinct and ``s`` is the one with residue 1.
 
     ``gamma(p)`` is that tail applied to ``normalize(p)``, so these checks
-    imply ``gamma(p) == c`` for all n pairs of the orbit, at the cost of one
-    parking run per chain instead of one ``gamma`` per pair.
+    imply ``gamma(p) == c`` for all n pairs of the orbit while running the
+    tail (a park and an un-sort) once per chain instead of once per pair.
+    Each ``normalize`` still parks twice, so a chain costs 2n + 1 parking runs.
 
     Raises :class:`CapExceeded` before any chain is made when the count of
     some k exceeds ``cap``.
     """
+    return VerifyReport(n, tuple(_verify_rows(n, cap)))
+
+
+def _verify_rows(n: int, cap: int) -> Iterator[VerifyRow]:
+    # verify's rows, each made when it is asked for; n and the caps of all n
+    # walks are checked at the call, before the first row
     if n < 1:
         raise ValueError("n must be >= 1")
     streams = [iter_sigma(n, k, cap) for k in range(n)]
-    rows = []
-    for k, chains in enumerate(streams):
-        enumerated = 0
-        sections_ok = True
-        fibers_ok = True
-        for c in chains:
-            enumerated += 1
-            a = projection(c)
-            ordered = _act(c.steps, a)
-            b = frozenset(t.j for t in ordered) | {1}
-            member = _sorted_criterion(ordered)
-            back = member and _gamma_normalized(n, a, b) == c.steps
-            sections_ok = sections_ok and back
-            fibers_ok = fibers_ok and back and all(
-                _normalize(n, *_shift(a, b, t, n)) == (a, b, -t % n) for t in range(n)
-            )
-        rows.append(VerifyRow(k, count_formula(n, k), enumerated, sections_ok, fibers_ok))
-    return VerifyReport(n, tuple(rows))
+    return (_verify_row(n, k, chains) for k, chains in enumerate(streams))
+
+
+def _verify_row(n: int, k: int, chains: Iterable[Chain]) -> VerifyRow:
+    enumerated = 0
+    sections_ok = True
+    fibers_ok = True
+    for c in chains:
+        enumerated += 1
+        a = projection(c)
+        ordered = _act(c.steps, a)
+        b = frozenset(t.j for t in ordered) | {1}
+        member = _sorted_criterion(ordered)
+        back = member and _gamma_normalized(n, a, b) == c.steps
+        sections_ok = sections_ok and back
+        fibers_ok = fibers_ok and back and all(
+            _normalize(n, *_shift(a, b, t, n)) == (a, b, -t % n) for t in range(n)
+        )
+    return VerifyRow(k, count_formula(n, k), enumerated, sections_ok, fibers_ok)

@@ -1,3 +1,4 @@
+import io
 import json
 import os
 import subprocess
@@ -8,7 +9,8 @@ from pathlib import Path
 import pytest
 
 import minfact
-from minfact.cli import run
+from minfact import surjection
+from minfact.cli import _print_pair, build_parser, run
 
 
 def lines(capsys):
@@ -65,6 +67,22 @@ class TestMapSectionFiber:
         rc = run(["fiber", "-n", "2", "--chain", "(1 2)"])
         assert rc == 0
         assert sorted(lines(capsys)) == ["a=1 b=1,2", "a=2 b=1,2"]
+
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_fiber_lines_are_the_orbit(self, fmt, capsys):
+        # the CLI makes the rotations one by one; fiber()'s list is the oracle
+        parser = build_parser()
+        for n in range(1, 7):
+            for k in range(n):
+                for c in minfact.iter_sigma(n, k):
+                    for pair in minfact.fiber(c):
+                        _print_pair(pair, fmt)
+                    expected = capsys.readouterr().out
+                    args = parser.parse_args(
+                        ["fiber", "--chain", json.dumps(c.to_json()), "--format", fmt]
+                    )
+                    assert args.handler(args) == 0
+                    assert capsys.readouterr() == (expected, ""), c
 
     @pytest.mark.parametrize(
         "n,k", [(2, 1), (3, 1), (3, 2), (4, 2), (4, 3), (5, 2), (5, 4), (6, 2)]
@@ -139,6 +157,32 @@ class TestVerify:
         data = json.loads(lines(capsys)[0])
         assert data["passed"] is True
         assert [row["enumerated"] for row in data["rows"]] == [1, 3, 3]
+
+    def test_rows_are_flushed_as_each_k_is_checked(self, monkeypatch):
+        # what stdout has flushed when the first chain of the last row reaches
+        # gamma's tail: the header and every earlier row
+        class Recorder(io.StringIO):
+            flushed = ""
+
+            def flush(self):
+                self.flushed = self.getvalue()
+
+        n = 5
+        out = Recorder()
+        seen = []
+        real_tail = surjection._gamma_normalized
+
+        def tail(n_, a, b):
+            if len(a) == n - 1 and not seen:
+                seen.append(out.flushed)
+            return real_tail(n_, a, b)
+
+        monkeypatch.setattr(surjection, "_gamma_normalized", tail)
+        monkeypatch.setattr(sys, "stdout", out)
+        assert run(["verify", "-n", str(n)]) == 0
+        written = out.getvalue().splitlines(keepends=True)
+        assert len(written) == n + 2 and written[-1] == "PASS\n"
+        assert seen == ["".join(written[:n])]
 
     @pytest.mark.parametrize("n", ["0", "-3"])
     def test_rejects_n_below_one(self, n, capsys):
@@ -335,6 +379,31 @@ def test_closed_pipe_ends_quietly():
     assert len(err.splitlines()) <= 1
 
 
+def test_closed_pipe_ends_verify_quietly():
+    # as in `minfact verify -n 8 | head -n 2`: each row is flushed when its k
+    # is checked, so the closed pipe is met at the next row, long before the
+    # last of the 262,144 chains of k = 7
+    env = {**os.environ, "PYTHONPATH": str(Path(minfact.__file__).resolve().parents[1])}
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "minfact", "verify", "-n", "8"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=env,
+    )
+    try:
+        assert proc.stdout.readline().split()[:2] == [b"k", b"formula"]
+        assert proc.stdout.readline().split() == [b"0", b"1", b"1", b"ok", b"ok", b"ok"]
+        proc.stdout.close()
+        code = proc.wait(timeout=10)
+    finally:
+        proc.kill()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert code == 1
+    assert b"Traceback" not in err
+    assert len(err.splitlines()) <= 1
+
+
 @pytest.mark.skipif(sys.platform != "linux", reason="needs Linux's RLIMIT_AS")
 def test_out_of_memory_is_one_error_line():
     # as under `ulimit -v 400000`: the chain's one-line product of 10^8
@@ -399,3 +468,37 @@ def test_large_n_streams_in_flat_memory():
     assert first == b"(1 2)\n"
     assert elapsed < 1.0
     assert peak - baseline < 30.0, (peak, baseline)
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="reads VmHWM from /proc/<pid>/status")
+def test_fiber_streams_in_flat_memory():
+    # the million rotations of the section are written as they are made, so
+    # the first line comes once the section is made and peak RSS does not grow
+    # while the pairs follow; a list of them took over 500 MiB.  Making the
+    # section checks membership in O(n) memory, about 140 MiB at this n
+    env = {**os.environ, "PYTHONPATH": str(Path(minfact.__file__).resolve().parents[1])}
+
+    def peak_mib(pid):
+        with open(f"/proc/{pid}/status") as status:
+            line = next(line for line in status if line.startswith("VmHWM:"))
+        return int(line.split()[1]) / 1024
+
+    argv = [sys.executable, "-m", "minfact", "fiber", "-n", "1000000", "--chain", "(1 2)(2 3)"]
+    start = time.perf_counter()
+    proc = subprocess.Popen(argv, stdout=subprocess.PIPE, env=env)
+    try:
+        first = proc.stdout.readline()
+        elapsed = time.perf_counter() - start
+        at_first = peak_mib(proc.pid)
+        for t in range(1, 100_001):
+            line = proc.stdout.readline()
+        at_last = peak_mib(proc.pid)
+    finally:
+        proc.kill()
+        proc.wait(timeout=60)
+        proc.stdout.close()
+    assert first == b"a=1,2 b=1,2,3\n"
+    assert line == b"a=100001,100002 b=100001,100002,100003\n"
+    assert elapsed < 5.0
+    assert at_last - at_first < 2.0, (at_first, at_last)
+    assert at_first < 250.0, at_first
