@@ -281,8 +281,8 @@ def _walk(
                 yield acc, packed([leaf(i, j) for j in block[t:t + cut]])
 
     def suffixes(blocks: _Blocks, r: int) -> Sequence:
-        # every r-step suffix of the block set; a tail of 2 or more steps is kept,
-        # room permitting, while a row of leaves is as cheap to remake as to find
+        # every r-step suffix of the block set; a tail of 2 or more steps is kept, room
+        # permitting, but not a row of leaves: rows would crowd level-2 tails out of the memo
         if r == 1:  # the pairs inside the blocks, in order
             return packed(starmap(shared, sorted(p for block in blocks for p in combinations(block, 2))))
         tails = [

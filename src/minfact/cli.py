@@ -19,7 +19,7 @@ from typing import Sequence
 from .chains import Chain, DEFAULT_CAP, _walk, involute, validate
 from .counting import count_formula
 from .action import apply_generator, apply_permutation
-from .parking import ParkingInput, park, park_trace
+from .parking import ParkingInput, _shift, park, park_trace
 from .perms import Permutation
 from .surjection import PairAB, _verify_rows, gamma, section, verify
 
@@ -77,10 +77,12 @@ def _print_chain(chain: Chain, fmt: str) -> None:
 
 
 def _print_pair(pair: PairAB, fmt: str) -> None:
-    if fmt == "json":
-        print(json.dumps(pair.to_json()))
-    else:
-        print(f"a={_format_ints(pair.a)} b={_format_ints(sorted(pair.b))}")
+    _print_ab(pair.n, pair.a, pair.b, fmt)
+
+
+def _print_ab(n: int, a: tuple[int, ...], b: frozenset[int], fmt: str) -> None:
+    print(json.dumps({"n": n, "a": list(a), "b": sorted(b)}) if fmt == "json"
+          else f"a={_format_ints(a)} b={_format_ints(sorted(b))}")
 
 
 def _cmd_count(args: argparse.Namespace) -> int:
@@ -163,10 +165,10 @@ def _cmd_section(args: argparse.Namespace) -> int:
 
 
 def _cmd_fiber(args: argparse.Namespace) -> int:
-    # fiber()'s orbit, one rotation at a time: n of them are never held at once
+    # fiber()'s orbit one rotation at a time; the section is checked, so its rotations are not
     s = section(_chain_from_args(args))
     for t in range(s.n):
-        _print_pair(s.shifted(t), args.format)
+        _print_ab(s.n, *_shift(s.a, s.b, t, s.n), args.format)
     return 0
 
 
@@ -216,11 +218,17 @@ def _cmd_involute(args: argparse.Namespace) -> int:
     return 0
 
 
-def _add_common(sub: argparse.ArgumentParser, *, n_required: bool = False) -> None:
+def _add_common(sub: argparse.ArgumentParser, *, n_required: bool = False,
+                chain: bool = False, cap: bool = False) -> None:
     sub.add_argument("-n", type=int, required=n_required, default=None,
                      help="ground-set size")
     sub.add_argument("--format", choices=("text", "json"), default="text",
                      help="output format (default text)")
+    if chain:
+        sub.add_argument("--chain", required=True, help="chain text or JSON")
+    if cap:
+        sub.add_argument("--cap", type=int, default=DEFAULT_CAP,
+                         help="refuse enumerations larger than this (default 10^7)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -236,20 +244,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_count)
 
     p = sub.add_parser("enumerate", help="list every k-prefix, one per line")
-    _add_common(p, n_required=True)
+    _add_common(p, n_required=True, cap=True)
     p.add_argument("-k", type=int, required=True)
-    p.add_argument("--cap", type=int, default=DEFAULT_CAP,
-                   help="refuse enumerations larger than this (default 10^7)")
     p.set_defaults(handler=_cmd_enumerate)
 
     p = sub.add_parser("verify", help="check counts and fibre structure for all k < n")
-    _add_common(p, n_required=True)
-    p.add_argument("--cap", type=int, default=DEFAULT_CAP)
+    _add_common(p, n_required=True, cap=True)
     p.set_defaults(handler=_cmd_verify)
 
     p = sub.add_parser("validate", help="report the membership conditions of a chain")
-    _add_common(p)
-    p.add_argument("--chain", required=True, help="chain text or JSON")
+    _add_common(p, chain=True)
     p.set_defaults(handler=_cmd_validate)
 
     p = sub.add_parser("map", help="map a pair (A, B) to its chain")
@@ -260,13 +264,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_map)
 
     p = sub.add_parser("section", help="the residue-1 pair of a chain's fibre")
-    _add_common(p)
-    p.add_argument("--chain", required=True)
+    _add_common(p, chain=True)
     p.set_defaults(handler=_cmd_section)
 
     p = sub.add_parser("fiber", help="all n pairs mapping to a chain")
-    _add_common(p)
-    p.add_argument("--chain", required=True)
+    _add_common(p, chain=True)
     p.set_defaults(handler=_cmd_fiber)
 
     p = sub.add_parser("park", help="run the circular parking process")
@@ -277,8 +279,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_park)
 
     p = sub.add_parser("act", help="act on a chain by a position permutation")
-    _add_common(p)
-    p.add_argument("--chain", required=True)
+    _add_common(p, chain=True)
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("-l", "--generator", type=int, default=None,
                        help="apply the single adjacent transposition (l, l+1)")
@@ -287,8 +288,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_act)
 
     p = sub.add_parser("involute", help="reverse a chain and reflect its entries")
-    _add_common(p)
-    p.add_argument("--chain", required=True)
+    _add_common(p, chain=True)
     p.set_defaults(handler=_cmd_involute)
 
     return parser

@@ -23,7 +23,7 @@ from .action import _act, projection
 from .chains import DEFAULT_CAP, Chain, _json_fields, _json_int, _json_ints, iter_sigma
 from .chains import _require_member, _sorted_criterion
 from .counting import count_formula
-from .parking import ParkingInput, _normalize, _park, _shift, normalize, park
+from .parking import ParkingInput, _normalize, _park, _shift
 from .perms import Transposition
 
 __all__ = [
@@ -91,15 +91,15 @@ def gamma(pair: PairAB) -> Chain:
     built (B must hold exactly k + 1 values of 1..n, which also forces
     k <= n - 1).
     """
-    a2, b2, _ = normalize(pair.a, pair.b, pair.n)
+    a2, b2, _ = _normalize(pair.n, pair.a, pair.b)
     return _require_member(Chain(pair.n, _gamma_normalized(pair.n, a2, b2)))
 
 
 def _gamma_normalized(n: int, a: tuple[int, ...], b: frozenset[int]) -> tuple[Transposition, ...]:
-    # gamma's steps for (a, b) of residue 1: park the sorted entries, un-sort
+    # gamma's steps for a checked (a, b) of residue 1: park the sorted entries, un-sort
     order = tuple(sorted(range(len(a)), key=a.__getitem__))
     entries = tuple(a[t] for t in order)
-    taken = park(ParkingInput(n, entries, b)).spaces
+    taken = _park(entries, b)[0]
     return _act(tuple(map(Transposition, entries, taken)), order)
 
 

@@ -272,6 +272,30 @@ class TestInvolute:
         assert lines(capsys) == ["(2 4)(4 6)(1 6)(6 8)"]
 
 
+def _flag_help(command, flag, capsys):
+    # the help text of one option in ``minfact COMMAND --help``, whitespace
+    # folded; the usage line also names the option, so the last match is taken
+    with pytest.raises(SystemExit):
+        run([command, "--help"])
+    out = capsys.readouterr().out.splitlines()
+    start = max(i for i, line in enumerate(out) if line.strip().startswith(flag + " "))
+    text = [out[start]]
+    for line in out[start + 1:]:
+        if not line.strip() or line.lstrip().startswith("-"):
+            break
+        text.append(line)
+    return " ".join(" ".join(text).split()[2:])
+
+
+@pytest.mark.parametrize(
+    "flag,commands",
+    [("--chain", ["validate", "section", "fiber", "act", "involute"]), ("--cap", ["enumerate", "verify"])],
+)
+def test_shared_flag_is_described_alike(flag, commands, capsys):
+    helps = {command: _flag_help(command, flag, capsys) for command in commands}
+    assert len(set(helps.values())) == 1 and "" not in helps.values(), helps
+
+
 class TestExitCodes:
     def test_domain_error_is_one(self, capsys):
         assert run(["map", "-n", "3", "--a", "1,2", "--b", "1,2"]) == 1

@@ -299,6 +299,26 @@ def test_verify_calls_no_validate_and_parks_once_per_chain(monkeypatch):
     assert len(built) <= sum(row.enumerated for row in report.rows)
 
 
+def test_gamma_builds_no_parking_input(monkeypatch):
+    # the PairAB was checked when it was built; gamma rotates and parks its
+    # values through the kernels without checking them again
+    built = _count_built(monkeypatch, ParkingInput)
+    assert gamma(WORKED_PAIR) == WORKED_CHAIN
+    assert built == []
+
+
+def test_cli_fiber_checks_the_section_once(monkeypatch, capsys):
+    # the rotations of the checked section are printed, not built as pairs
+    expected = PairAB(50, (1, 2), {1, 2, 3})
+    pairs = _count_built(monkeypatch, PairAB)
+    inputs = _count_built(monkeypatch, ParkingInput)
+    assert run(["fiber", "-n", "50", "--chain", "(1 2)(2 3)"]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert len(out) == 50 and out[-1] == "a=50,1 b=1,2,50"
+    assert pairs == [expected]
+    assert len(inputs) == 1
+
+
 def test_verify_builds_one_chain_per_chain(monkeypatch):
     # the walk's Chain is the only one: the sorted form is checked as steps
     built = _count_built(monkeypatch, Chain)
