@@ -13,8 +13,9 @@ and k, each from its parent by one step.  It is written once, as a fold:
 them, and ``minfact enumerate`` folds it into output lines.  A chain's next
 steps are the pairs inside the blocks of the permutation still to go to the
 full cycle, so all below a chain depends on that block set alone; the last
-steps of the many chains that reach one block set are made once, as one value,
-and kept in a memo whose depth the closed-form counts set before the walk.
+steps of the many chains that reach one block set are made as one value, and
+kept, room permitting, in a memo whose depth the closed-form counts set before
+the walk.
 """
 
 from __future__ import annotations
@@ -193,18 +194,6 @@ _MEMO_PAIRS = 1 << 16
 _Blocks = tuple[tuple[int, ...], ...]
 
 
-def _completions(blocks: _Blocks, r: int) -> int:
-    # a block of m points is the walk's root for n = m, and blocks' steps
-    # shuffle; one step is a pair inside a block, the case a full memo meets most
-    if r == 1:
-        return sum(len(b) * (len(b) - 1) // 2 for b in blocks)
-    ways = [1] + [0] * r
-    for m in map(len, blocks):
-        for t in range(r, 0, -1):
-            ways[t] += sum(comb(t, s) * count_formula(m, s) * ways[t - s] for s in range(1, t + 1))
-    return ways[r]
-
-
 def _memo_level(n: int, k: int) -> int:
     # the deepest r in 2..k-2 whose suffixes at depth k - r fit the budget, else
     # 1; they are estimated as the block sets there, a Narayana number (Kreweras
@@ -251,13 +240,15 @@ def _walk(
     # it.  The set fixes gamma, and Dénes' m^(m-2) minimal factorisations of an
     # m-cycle, shuffled over gamma's cycles c, give d! prod |c|^(|c|-2) /
     # (|c|-1)! chains of length d to it: Sigma(9, 3) has 10,206 chains over
-    # 1,176 block sets.  So chains at depth k - _memo_level(n, k) >= 2 take all
-    # their suffixes, as one value, from a memo keyed by the block set, built
-    # the first time the set is met and admitted while the memo keeps at most
-    # _MEMO_PAIRS suffixes.  A chain not admitted walks on, and its
-    # leaf-parents try the memo with r = 1.  The root and depth-1 sets never
-    # recur, and a leaf-parent past the budget streams its leaves in batches of
-    # at most _MEMO_PAIRS per smaller entry i, so memo and batches are bounded.
+    # 1,176 block sets.  So every chain at depth k - r, for r = _memo_level(n, k),
+    # takes all its suffixes as one value, the entry of its block set: built
+    # when the set is first met, and kept in a memo keyed by the set if its
+    # suffixes fit the room left of _MEMO_PAIRS, else built again when the set
+    # recurs.  An entry holds at most the level's suffixes, which r is chosen
+    # to fit.  At r = 1 an entry is a row of the set's pairs, sized before it is
+    # built: a row past the room streams its leaves in batches of at most
+    # _MEMO_PAIRS per smaller entry i, and so does every row at depth 0 or 1,
+    # whose sets never recur.  So memo and batches are bounded.
     memo: dict[_Blocks, Sequence] = {}
     shared = cache(leaf)
     text = isinstance(root, str)
@@ -286,7 +277,7 @@ def _walk(
         if r == 1:  # the pairs inside the blocks, in order
             return packed(starmap(shared, sorted(p for block in blocks for p in combinations(block, 2))))
         tails = [
-            (head, r > 2 and recall(child, r - 1) or suffixes(child, r - 1))
+            (head, recall(child, r - 1) if r > 2 else suffixes(child, r - 1))
             for head, child in children(root[:0], blocks)
         ]
         if text:
@@ -296,15 +287,18 @@ def _walk(
         )
 
     def recall(blocks: _Blocks, r: int) -> Sequence | None:
+        # the set's entry, kept or built; None for a row too long to build
         nonlocal room
         key = tuple(sorted(blocks))  # the block set, as one sorted tuple
         kept = memo.get(key)
         if kept is None:
-            size = _completions(blocks, r)
-            if size > room:
+            if r == 1 and sum(len(b) * (len(b) - 1) // 2 for b in blocks) > room:
                 return None
-            room -= size
-            kept = memo[key] = suffixes(blocks, r)
+            kept = suffixes(blocks, r)
+            size = kept.count("\n") + 1 if text else len(kept) // r
+            if size <= room:
+                room -= size
+                memo[key] = kept
         return kept
 
     def children(acc: T, blocks: _Blocks) -> Iterator[tuple[T, _Blocks]]:
@@ -321,18 +315,18 @@ def _walk(
     def batches() -> Iterator[tuple[T, Sequence]]:
         # stack[-1] makes the chains of length len(stack) - 1, the root's one
         # block first, so every batch is yielded from this one frame, not
-        # handed up through k generators; chains level or 1 steps short of k
-        # look up the memo, from depth 2 on
+        # handed up through k generators; the chains level steps short of k
+        # push nothing, and take their entries from depth 2 on
         stack = [iter(((root, (tuple(range(1, n + 1)),)),))]
-        keyed = {k + 1 - level, k} - {1, 2}
+        keyed = k + 1 - level
         while stack:
             for acc, blocks in stack[-1]:
-                kept = len(stack) in keyed and recall(blocks, k + 1 - len(stack))
-                if kept:
-                    yield acc, kept
-                elif len(stack) < k:
+                if len(stack) < keyed:
                     stack.append(children(acc, blocks))
                     break
+                kept = keyed > 2 and recall(blocks, level)
+                if kept:
+                    yield acc, kept
                 else:
                     yield from stream(acc, blocks)
             else:

@@ -239,6 +239,18 @@ def _level(n, k, r):
     return comb(n, k - r + 1) * comb(n, k - r) // n * -(-count_formula(n, k) // count_formula(n, k - r))
 
 
+def _completions(blocks, r):
+    # Dénes' count of the suffixes below a block set: a block of m points is
+    # the walk's root for n = m, and blocks' steps shuffle
+    if r == 1:
+        return sum(len(b) * (len(b) - 1) // 2 for b in blocks)
+    ways = [1] + [0] * r
+    for m in map(len, blocks):
+        for t in range(r, 0, -1):
+            ways[t] += sum(comb(t, s) * count_formula(m, s) * ways[t - s] for s in range(1, t + 1))
+    return ways[r]
+
+
 def _same(chains, expected):
     # compared in step, so that neither list is held
     return all(c == d for c, d in zip_longest(chains, expected))
@@ -246,10 +258,10 @@ def _same(chains, expected):
 
 class TestLeafMemo:
     # The memo of suffixes by block set is a cache: a walk with no room for it
-    # streams every leaf-parent, one with a little room keeps a few block sets
-    # and walks on from the rest, and one with half the room its level needs
-    # keeps about half of that level.  All must give what the default budget
-    # gives.
+    # streams every leaf-parent, one with a little room keeps a few block sets,
+    # and one with half the room its level needs keeps about half of that
+    # level and builds the other entries again each time their set recurs.
+    # All must give what the default budget gives.
 
     @pytest.mark.parametrize("n", range(1, 9))
     def test_budget_changes_nothing(self, n, monkeypatch, capsys):
@@ -285,16 +297,48 @@ class TestLeafMemo:
 
     @pytest.mark.parametrize("n", range(2, 7))
     def test_completions_count_the_suffixes(self, n):
-        # the size the memo admits an entry at: the chains of length k that
-        # extend a chain of length d, counted from the walk, against the closed
-        # form on the blocks of what is left of the full cycle
+        # the chains of length k that extend a chain of length d, counted from
+        # the walk, against the closed form on the blocks of what is left of
+        # the full cycle
         for k in range(2, n):
             for d in range(1, k):
                 below = Counter(Chain(n, c.steps[:d]) for c in iter_sigma(n, k))
                 for c, count in below.items():
                     phi = intermediate(c, d).inverse() * Permutation.long_cycle(n)
                     blocks = tuple(cycle for cycle in phi.cycles() if len(cycle) > 1)
-                    assert chains._completions(blocks, k - d) == count, (c, k)
+                    assert _completions(blocks, k - d) == count, (c, k)
+
+    def test_refused_entries_are_built_not_walked_under(self, monkeypatch):
+        # at a budget of 2^17, (8, 7) keeps 5 steps, and more than fits: the
+        # entries that find no room are built again, so no chain grown from the
+        # root "R" passes k - 5 = 2 steps (the heads that suffixes grows start
+        # from "", and are not counted)
+        def lines(depths):
+            def grow(acc, i, j):
+                if acc.startswith("R"):
+                    depths.add(acc.count("(") + 1)
+                return f"{acc}({i} {j})"
+
+            batches = chains._walk(8, 7, 10**6, "R", grow, "({} {})".format)
+            return (acc + line for acc, tail in batches for line in tail.split("\n"))
+
+        expected = lines(set())
+        monkeypatch.setattr(chains, "_MEMO_PAIRS", 1 << 17)
+        assert chains._memo_level(8, 7) == 5
+        depths = set()
+        assert _same(lines(depths), expected)
+        assert max(depths) == 2
+
+    def test_batches_hold_at_most_the_budget(self, monkeypatch):
+        # the README's bound on a batch of output lines: an entry holds at
+        # most its level's suffixes, and a streamed row is cut to the budget
+        def largest(n, k):
+            batches = chains._walk(n, k, 10**6, (), lambda acc, i, j: (*acc, (i, j)), lambda i, j: (i, j))
+            return max((len(flat) // (k - len(acc)) for acc, flat in batches), default=0)
+
+        assert all(largest(n, k) <= chains._MEMO_PAIRS for n in range(1, 9) for k in range(n + 1))
+        monkeypatch.setattr(chains, "_MEMO_PAIRS", 1 << 17)
+        assert largest(8, 7) <= chains._MEMO_PAIRS
 
     def test_memo_stays_within_its_budget(self, monkeypatch):
         # at (16, 3) the leaf-parents hold 218,400 leaves over 4,200 block sets;

@@ -290,13 +290,14 @@ def _count_built(monkeypatch, cls) -> list:
 
 def test_verify_calls_no_validate_and_parks_once_per_chain(monkeypatch):
     # the walk's chains are trusted: verify checks membership on their sorted
-    # form, and builds one ParkingInput per chain, for its parking run
+    # form, and parks each chain's section through the kernels, building no
+    # ParkingInput
     checked = _count_validate(monkeypatch)
     built = _count_built(monkeypatch, ParkingInput)
     report = verify(5)
     assert report.passed
     assert checked == []
-    assert len(built) <= sum(row.enumerated for row in report.rows)
+    assert built == []
 
 
 def test_gamma_builds_no_parking_input(monkeypatch):
