@@ -236,6 +236,13 @@ def _walk(
     # gamma one norm more, so gamma is not kept.  A block of one point holds no
     # step and is dropped.  Shadow-tested against ``validate``.
     #
+    # A split keeps the pairs that do not cross it, in their order: a pair (x y)
+    # of b stays iff x and y both lie in b[s:t], the points of b in [i, j), or
+    # neither does, and a pair of another block always stays, as blocks do not
+    # cross, so its two points lie both in [i, j) or both outside it.  Hence a
+    # 2-step entry needs no child set: each of the set's pairs (i j) is a head,
+    # and its leaves are the set's pairs with both or neither point in [i, j).
+    #
     # So all below a chain depends on its block set alone, not on the path to
     # it.  The set fixes gamma, and Dénes' m^(m-2) minimal factorisations of an
     # m-cycle, shuffled over gamma's cycles c, give d! prod |c|^(|c|-2) /
@@ -272,19 +279,26 @@ def _walk(
                 yield acc, packed([leaf(i, j) for j in block[t:t + cut]])
 
     def suffixes(blocks: _Blocks, r: int) -> Sequence:
-        # every r-step suffix of the block set; a tail of 2 or more steps is kept, room
-        # permitting, but not a row of leaves: rows would crowd level-2 tails out of the memo
+        # every r-step suffix of the block set: a tail of 3 or more steps is made
+        # from each child's entry, kept or built by recall; a 2-step tail is cut
+        # from the set's own pairs, so no child's row of leaves is built for it
+        if r > 2:
+            tails = [(head, recall(child, r - 1)) for head, child in children(root[:0], blocks)]
+            if text:
+                return "\n".join(head + tail.replace("\n", "\n" + head) for head, tail in tails)
+            return tuple(
+                x for head, tail in tails for c in range(0, len(tail), r - 1) for x in head + tail[c:c + r - 1]
+            )
+        pairs = sorted(p for block in blocks for p in combinations(block, 2))
         if r == 1:  # the pairs inside the blocks, in order
-            return packed(starmap(shared, sorted(p for block in blocks for p in combinations(block, 2))))
-        tails = [
-            (head, recall(child, r - 1) if r > 2 else suffixes(child, r - 1))
-            for head, child in children(root[:0], blocks)
+            return packed(starmap(shared, pairs))
+        # each pair (i j) is a head, followed by the pairs that do not cross it
+        row = [(x, y, shared(x, y) if text else (shared(x, y),)) for x, y in pairs]
+        lines = [
+            head + leaf for i, j in pairs for head in (grow(root[:0], i, j),)
+            for x, y, leaf in row if not (x < i <= y < j or i <= x < j <= y)
         ]
-        if text:
-            return "\n".join(head + tail.replace("\n", "\n" + head) for head, tail in tails)
-        return tuple(
-            x for head, tail in tails for c in range(0, len(tail), r - 1) for x in head + tail[c:c + r - 1]
-        )
+        return "\n".join(lines) if text else tuple(x for line in lines for x in line)
 
     def recall(blocks: _Blocks, r: int) -> Sequence | None:
         # the set's entry, kept or built; None for a row too long to build

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import permutations, product
+from itertools import combinations, permutations, product
 
 import hypothesis.strategies as st
 
@@ -25,6 +25,7 @@ from minfact import (
     park,
     validate,
 )
+from minfact import chains
 
 
 def all_permutations(n: int) -> list[Permutation]:
@@ -77,6 +78,52 @@ def verify_oracle(n: int) -> VerifyReport:
                 fibers_ok = False
         rows.append(VerifyRow(k, count_formula(n, k), len(chains), sections_ok, fibers_ok))
     return VerifyReport(n, tuple(rows))
+
+
+def block_pairs(blocks) -> list[tuple[int, int]]:
+    """The pairs inside a block set's blocks, sorted: the steps the walk may take."""
+    return sorted(p for block in blocks for p in combinations(block, 2))
+
+
+def split(blocks, i: int, j: int) -> tuple[tuple[int, ...], ...]:
+    """The block set after the step (i j): the block b holding i and j splits at
+    their positions s < t into b[s:t] and b[:s] + b[t:], and a block of one
+    point is dropped."""
+    (b,) = [block for block in blocks if i in block]
+    s, t = b.index(i), b.index(j)
+    parts = [block for block in blocks if block is not b] + [b[s:t], b[:s] + b[t:]]
+    return tuple(part for part in parts if len(part) > 1)
+
+
+def reachable_blocks(n: int, d: int) -> list[tuple[tuple[int, ...], ...]]:
+    """Every block set that the walk over 1..n reaches after d steps, once each."""
+    sets = {(tuple(range(1, n + 1)),)}
+    for _ in range(d):
+        sets = {tuple(sorted(split(blocks, i, j))) for blocks in sets for i, j in block_pairs(blocks)}
+    return sorted(sets)
+
+
+def two_steps_by_children(blocks, root, grow, leaf):
+    """Oracle for the walk's 2-step entry of a block set, built child by child:
+    each pair (i j) of the set, in order, is a head, and under it go the leaves
+    of its child's row, the sorted pairs of the set after (i j).  Lines joined
+    by newlines for a str ``root``, else one flat tuple of 2 items a line."""
+    tails = [
+        (grow(root[:0], i, j), [leaf(x, y) for x, y in block_pairs(split(blocks, i, j))])
+        for i, j in block_pairs(blocks)
+    ]
+    if isinstance(root, str):
+        return "\n".join(head + "\n".join(row).replace("\n", "\n" + head) for head, row in tails)
+    return tuple(x for head, row in tails for step in row for x in head + (step,))
+
+
+def walk_suffixes(n: int, root, grow, leaf):
+    """The entry builder ``suffixes(blocks, r)`` of a ``_walk`` over 1..n with
+    this fold, taken from the closure of the ``recall`` that its unstarted
+    generator holds."""
+    batches = chains._walk(n, n - 1, n**n, root, grow, leaf)
+    recall = batches.gi_frame.f_locals["recall"]
+    return recall.__closure__[recall.__code__.co_freevars.index("suffixes")].cell_contents
 
 
 def park_by_walking(inp: ParkingInput) -> tuple[ParkingOutcome, tuple[CarTrace, ...]]:
@@ -166,3 +213,14 @@ def pairs_st(draw, min_n: int = 1, max_n: int = 30) -> PairAB:
     a = tuple(draw(st.lists(st.integers(1, n), min_size=k, max_size=k)))
     b = frozenset(draw(st.sets(st.integers(1, n), min_size=k + 1, max_size=k + 1)))
     return PairAB(n, a, b)
+
+
+@st.composite
+def reachable_blocks_st(draw, max_n: int = 14):
+    """(n, a block set the walk over 1..n reaches with at least 2 steps still
+    to go), its blocks in a drawn order."""
+    n = draw(st.integers(3, max_n))
+    blocks = (tuple(range(1, n + 1)),)
+    for _ in range(draw(st.integers(0, n - 3))):
+        blocks = split(blocks, *draw(st.sampled_from(block_pairs(blocks))))
+    return n, tuple(draw(st.permutations(blocks)))

@@ -6,12 +6,14 @@ from itertools import islice, zip_longest
 from math import comb
 
 import pytest
+from hypothesis import given
 
 from minfact import chains
 from minfact import (
     CapExceeded,
     Chain,
     Permutation,
+    Transposition,
     check_sorted_criterion,
     count_formula,
     enumerate_sigma,
@@ -23,7 +25,16 @@ from minfact import (
 )
 from minfact.cli import run
 
-from helpers import brute_sigma, sigma, sigma_all, sorted_i_chains
+from helpers import (
+    brute_sigma,
+    reachable_blocks,
+    reachable_blocks_st,
+    sigma,
+    sigma_all,
+    sorted_i_chains,
+    two_steps_by_children,
+    walk_suffixes,
+)
 
 WORKED = Chain.parse("(3 8)(5 7)(1 8)(3 7)", 8)
 
@@ -370,6 +381,36 @@ class TestLeafMemo:
         finally:
             tracemalloc.stop()
         assert peak < 4 * 2**20, peak
+
+
+# the walk's three folds as (root, grow, leaf): CLI text, CLI JSON and iter_sigma's
+_FOLDS = {
+    "text": ("", lambda acc, i, j: f"{acc}({i} {j})", "({} {})".format),
+    "json": ('{"n": 9, "steps": [', lambda acc, i, j: f"{acc}[{i}, {j}], ", "[{}, {}]]}}".format),
+    "chain": ((), lambda steps, i, j: (*steps, Transposition(i, j)), Transposition),
+}
+
+
+class TestTwoStepEntries:
+    # The walk cuts a 2-step entry from its block set's own pairs: each pair is
+    # a head and keeps the pairs that do not cross it.  That must give what the
+    # entry built child by child gives, in every fold and for blocks in any
+    # order, on every set a walk builds a 2-step entry for: those k - 2 steps
+    # from the root, at least 2 steps short of the full cycle.
+
+    @pytest.mark.parametrize("fold", _FOLDS)
+    def test_every_set_a_walk_meets(self, fold):
+        for n in range(3, 9):
+            suffixes = walk_suffixes(n, *_FOLDS[fold])
+            for d in range(n - 2):  # d = k - 2 for k in 2..n-1
+                for blocks in reachable_blocks(n, d):
+                    assert suffixes(blocks, 2) == two_steps_by_children(blocks, *_FOLDS[fold]), blocks
+
+    @given(reachable_blocks_st(max_n=14))
+    def test_random_reachable_sets(self, drawn):
+        n, blocks = drawn
+        for fold in _FOLDS.values():
+            assert walk_suffixes(n, *fold)(blocks, 2) == two_steps_by_children(blocks, *fold)
 
 
 class TestInvolute:
