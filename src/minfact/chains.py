@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache
-from itertools import combinations, repeat, starmap
+from itertools import combinations, repeat
 from math import comb
 from typing import Callable, Iterable, Iterator, Sequence, TypeVar
 
@@ -195,12 +195,13 @@ _Blocks = tuple[tuple[int, ...], ...]
 
 
 def _memo_level(n: int, k: int) -> int:
-    # the deepest r in 2..k-2 whose suffixes at depth k - r fit the budget, else
-    # 1; they are estimated as the block sets there, a Narayana number (Kreweras
-    # 1972), times the mean completions of a chain, rounded up
+    # the deepest r in 2..k-2 whose suffixes at depth k - r fit the budget; they
+    # are estimated as the block sets there, a Narayana number (Kreweras 1972),
+    # times the mean completions of a chain, rounded up.  Else 2 if the largest
+    # 2-step entry at depth k - 2, one block of n - k + 2 points, fits, else 1
     fits = [r for r in range(2, k - 1) if comb(n, k - r + 1) * comb(n, k - r) // n
             * -(-count_formula(n, k) // count_formula(n, k - r)) <= _MEMO_PAIRS]
-    return max(fits, default=1)
+    return max(fits, default=2 if k >= 2 and count_formula(n - k + 2, 2) <= _MEMO_PAIRS else 1)
 
 
 def _walk(
@@ -252,10 +253,10 @@ def _walk(
     # when the set is first met, and kept in a memo keyed by the set if its
     # suffixes fit the room left of _MEMO_PAIRS, else built again when the set
     # recurs.  An entry holds at most the level's suffixes, which r is chosen
-    # to fit.  At r = 1 an entry is a row of the set's pairs, sized before it is
-    # built: a row past the room streams its leaves in batches of at most
-    # _MEMO_PAIRS per smaller entry i, and so does every row at depth 0 or 1,
-    # whose sets never recur.  So memo and batches are bounded.
+    # to fit, or, where r falls back to 2, one block's 2-step suffixes, which
+    # hold the most at that depth and fit.  At r = 1 there is no memo: every
+    # leaf-parent streams its leaves in batches of at most _MEMO_PAIRS per
+    # smaller entry i.  So memo and batches are bounded.
     memo: dict[_Blocks, Sequence] = {}
     shared = cache(leaf)
     text = isinstance(root, str)
@@ -290,8 +291,6 @@ def _walk(
                 x for head, tail in tails for c in range(0, len(tail), r - 1) for x in head + tail[c:c + r - 1]
             )
         pairs = sorted(p for block in blocks for p in combinations(block, 2))
-        if r == 1:  # the pairs inside the blocks, in order
-            return packed(starmap(shared, pairs))
         # each pair (i j) is a head, followed by the pairs that do not cross it
         row = [(x, y, shared(x, y) if text else (shared(x, y),)) for x, y in pairs]
         lines = [
@@ -300,14 +299,12 @@ def _walk(
         ]
         return "\n".join(lines) if text else tuple(x for line in lines for x in line)
 
-    def recall(blocks: _Blocks, r: int) -> Sequence | None:
-        # the set's entry, kept or built; None for a row too long to build
+    def recall(blocks: _Blocks, r: int) -> Sequence:
+        # the set's entry, kept or built
         nonlocal room
         key = tuple(sorted(blocks))  # the block set, as one sorted tuple
         kept = memo.get(key)
         if kept is None:
-            if r == 1 and sum(len(b) * (len(b) - 1) // 2 for b in blocks) > room:
-                return None
             kept = suffixes(blocks, r)
             size = kept.count("\n") + 1 if text else len(kept) // r
             if size <= room:
@@ -330,7 +327,7 @@ def _walk(
         # stack[-1] makes the chains of length len(stack) - 1, the root's one
         # block first, so every batch is yielded from this one frame, not
         # handed up through k generators; the chains level steps short of k
-        # push nothing, and take their entries from depth 2 on
+        # push nothing, and take their entries, the root's too at k = 2
         stack = [iter(((root, (tuple(range(1, n + 1)),)),))]
         keyed = k + 1 - level
         while stack:
@@ -338,9 +335,8 @@ def _walk(
                 if len(stack) < keyed:
                     stack.append(children(acc, blocks))
                     break
-                kept = keyed > 2 and recall(blocks, level)
-                if kept:
-                    yield acc, kept
+                if level > 1:
+                    yield acc, recall(blocks, level)
                 else:
                     yield from stream(acc, blocks)
             else:

@@ -92,10 +92,10 @@ def gamma(pair: PairAB) -> Chain:
     k <= n - 1).
     """
     a2, b2, _ = _normalize(pair.n, pair.a, pair.b)
-    return _require_member(Chain(pair.n, _gamma_normalized(pair.n, a2, b2)))
+    return _require_member(Chain(pair.n, _gamma_normalized(a2, b2)))
 
 
-def _gamma_normalized(n: int, a: tuple[int, ...], b: frozenset[int]) -> tuple[Transposition, ...]:
+def _gamma_normalized(a: tuple[int, ...], b: frozenset[int]) -> tuple[Transposition, ...]:
     # gamma's steps for a checked (a, b) of residue 1: park the sorted entries, un-sort
     order = tuple(sorted(range(len(a)), key=a.__getitem__))
     entries = tuple(a[t] for t in order)
@@ -207,7 +207,7 @@ def _verify_row(n: int, k: int, chains: Iterable[Chain]) -> VerifyRow:
         ordered = _act(c.steps, a)
         b = frozenset(t.j for t in ordered) | {1}
         member = _sorted_criterion(ordered)
-        back = member and _gamma_normalized(n, a, b) == c.steps
+        back = member and _gamma_normalized(a, b) == c.steps
         sections_ok = sections_ok and back
         fibers_ok = fibers_ok and back and all(
             _normalize(n, *_shift(a, b, t, n)) == (a, b, -t % n) for t in range(n)

@@ -295,16 +295,31 @@ class TestLeafMemo:
 
     @pytest.mark.parametrize(
         "n,k,level",
-        [(9, 5, 2), (8, 7, 4), (9, 8, 3), (6, 5, 3), (16, 3, 1), (9, 3, 1), (9, 2, 1), (9, 1, 1)],
+        [
+            (9, 5, 2), (8, 7, 4), (9, 8, 3), (6, 5, 3), (10, 5, 2), (14, 4, 2),
+            (16, 3, 2), (9, 3, 2), (9, 2, 2), (26, 2, 1), (9, 1, 1),
+        ],
     )
     def test_level_from_the_closed_forms(self, n, k, level):
         # the deepest level in 2..k-2 whose estimated suffixes fit the budget:
         # (9, 5) keeps 2 steps, estimated at 63,504 suffixes, as 3 would need
-        # 244,944; at k <= 3 no level is deep enough and leaf-parents keep 1
+        # 244,944.  Where none fits, as at k <= 3, the level is 2 if the largest
+        # 2-step entry, one block of n - k + 2 points, fits the budget: 25 * 2,300
+        # suffixes at (25, 2), but 26 * 2,600 at (26, 2), whose leaf-parents stream
+        budget = chains._MEMO_PAIRS
         assert chains._memo_level(n, k) == level
-        if level > 1:
-            assert _level(n, k, level) <= chains._MEMO_PAIRS
-            assert all(_level(n, k, r) > chains._MEMO_PAIRS for r in range(level + 1, k - 1))
+        assert all(_level(n, k, r) > budget for r in range(level + 1, k - 1))
+        if level <= k - 2 and _level(n, k, level) <= budget:
+            return
+        assert all(_level(n, k, r) > budget for r in range(2, k - 1))
+        assert (level == 2) == (k >= 2 and count_formula(n - k + 2, 2) <= budget)
+
+    @pytest.mark.parametrize("n", range(3, 10))
+    def test_largest_two_step_entry_is_one_block(self, n):
+        # what the fallback to level 2 sizes: of the sets d = k - 2 steps from
+        # the root, the one block of n - d points has the most 2-step suffixes
+        for d in range(n - 2):
+            assert max(_completions(blocks, 2) for blocks in reachable_blocks(n, d)) == count_formula(n - d, 2)
 
     @pytest.mark.parametrize("n", range(2, 7))
     def test_completions_count_the_suffixes(self, n):
@@ -342,23 +357,28 @@ class TestLeafMemo:
 
     def test_batches_hold_at_most_the_budget(self, monkeypatch):
         # the README's bound on a batch of output lines: an entry holds at
-        # most its level's suffixes, and a streamed row is cut to the budget
+        # most its level's suffixes, or, at a fallback to 2, the largest 2-step
+        # entry's, and a streamed row is cut to the budget.  (16, 3), (12, 4)
+        # and (25, 2) fall back to 2, and add about 0.8 s to this test
         def largest(n, k):
-            batches = chains._walk(n, k, 10**6, (), lambda acc, i, j: (*acc, (i, j)), lambda i, j: (i, j))
+            batches = chains._walk(n, k, 10**7, (), lambda acc, i, j: (*acc, (i, j)), lambda i, j: (i, j))
             return max((len(flat) // (k - len(acc)) for acc, flat in batches), default=0)
 
         assert all(largest(n, k) <= chains._MEMO_PAIRS for n in range(1, 9) for k in range(n + 1))
+        assert all(largest(n, k) <= chains._MEMO_PAIRS for n, k in ((16, 3), (12, 4), (25, 2)))
         monkeypatch.setattr(chains, "_MEMO_PAIRS", 1 << 17)
         assert largest(8, 7) <= chains._MEMO_PAIRS
 
     def test_memo_stays_within_its_budget(self, monkeypatch):
-        # at (16, 3) the leaf-parents hold 218,400 leaves over 4,200 block sets;
-        # the memo may keep 1 << 16 of them: 1.5 MiB at 24 bytes a leaf, an
-        # 8-byte slot and a share of its block set and tuple
+        # at (16, 3) the 120 chains of one step take 2-step entries, 465,920
+        # suffixes in all, and the memo may keep 1 << 16 of them.  This grow
+        # makes no heads, so a kept suffix is one 8-byte slot, its shared leaf,
+        # which the memo counts as half a suffix: 1 MiB for 1 << 17 slots, and
+        # less than 1.5 MiB with the entry being built
         def peak() -> int:
             tracemalloc.start()
             try:
-                for _ in chains._walk(16, 3, 10**6, None, lambda acc, i, j: acc, lambda i, j: (i, j)):
+                for _ in chains._walk(16, 3, 10**6, (), lambda acc, i, j: acc, lambda i, j: (i, j)):
                     pass
                 return tracemalloc.get_traced_memory()[1]
             finally:
@@ -369,6 +389,28 @@ class TestLeafMemo:
         monkeypatch.setattr(chains, "_MEMO_PAIRS", 1 << 30)
         unbounded = peak()
         assert bounded < 24 * (1 << 16) < unbounded, (bounded, unbounded)
+
+    @pytest.mark.parametrize("fold", ["text", "json", "chain"])
+    def test_no_kept_value_is_a_row(self, fold):
+        # every value the memo keeps holds the r = k - d step suffixes of a block
+        # set d steps from the root, whose blocks hold n - 1 - d steps, and r is
+        # at least 2: a leaf-parent's row of leaves streams, and is never kept
+        root, grow, leaf = _FOLDS[fold]
+        for n in range(1, 9):
+            for k in range(1, n):
+                batches = chains._walk(n, k, 10**6, root, grow, leaf)
+                recall = batches.gi_frame.f_locals["recall"]
+                memo = recall.__closure__[recall.__code__.co_freevars.index("memo")].cell_contents
+                for _ in batches:
+                    pass
+                for blocks, kept in memo.items():
+                    r = k - n + 1 + sum(len(b) - 1 for b in blocks)
+                    suffixes = _completions(blocks, r)
+                    if fold == "chain":
+                        assert r >= 2 and len(kept) == r * suffixes, (n, k, blocks)
+                    else:
+                        steps = kept.count("(" if fold == "text" else "[")
+                        assert r >= 2 and kept.count("\n") + 1 == suffixes and steps == r * suffixes, (n, k, blocks)
 
     def test_streamed_chains_keep_nothing(self):
         # at k = 2 every leaf-parent streams: iter_sigma(3000, 2) must not keep

@@ -172,10 +172,10 @@ class TestVerify:
         seen = []
         real_tail = surjection._gamma_normalized
 
-        def tail(n_, a, b):
+        def tail(a, b):
             if len(a) == n - 1 and not seen:
                 seen.append(out.flushed)
-            return real_tail(n_, a, b)
+            return real_tail(a, b)
 
         monkeypatch.setattr(surjection, "_gamma_normalized", tail)
         monkeypatch.setattr(sys, "stdout", out)

@@ -340,10 +340,10 @@ def test_non_member_from_the_walk_never_passes(tail_agrees, monkeypatch):
     def walk(n, k, cap):
         return (bad if c == twin else c for c in real_walk(n, k, cap))
 
-    def tail(n, a, b):
+    def tail(a, b):
         if tail_agrees and (a, b) == ((1, 1), frozenset({1, 2, 3})):
             return bad.steps
-        return real_tail(n, a, b)
+        return real_tail(a, b)
 
     monkeypatch.setattr(surjection, "iter_sigma", walk)
     monkeypatch.setattr(surjection, "_gamma_normalized", tail)
@@ -362,8 +362,8 @@ class TestVerifyCanFail:
         real = surjection._gamma_normalized
         victim = section(sigma(4, 2)[3])
 
-        def faulty(n, a, b):
-            steps = real(n, a, b)
+        def faulty(a, b):
+            steps = real(a, b)
             return steps[::-1] if (a, b) == (victim.a, victim.b) else steps
 
         monkeypatch.setattr(surjection, "_gamma_normalized", faulty)
