@@ -195,13 +195,17 @@ _Blocks = tuple[tuple[int, ...], ...]
 
 
 def _memo_level(n: int, k: int) -> int:
-    # the deepest r in 2..k-2 whose suffixes at depth k - r fit the budget; they
-    # are estimated as the block sets there, a Narayana number (Kreweras 1972),
-    # times the mean completions of a chain, rounded up.  Else 2 if the largest
-    # 2-step entry at depth k - 2, one block of n - k + 2 points, fits, else 1
-    fits = [r for r in range(2, k - 1) if comb(n, k - r + 1) * comb(n, k - r) // n
-            * -(-count_formula(n, k) // count_formula(n, k - r)) <= _MEMO_PAIRS]
-    return max(fits, default=2 if k >= 2 and count_formula(n - k + 2, 2) <= _MEMO_PAIRS else 1)
+    # 1 unless the largest 2-step entry, one block of n - k + 2 points, fits; then
+    # up from 2 while the next level fits, its suffixes estimated as the block sets
+    # at its depth d, a Narayana number (Kreweras 1972), times the mean completions,
+    # rounded up: ~ C(n, d) count_formula(n, k) / n^d, which only grows as d falls
+    if k < 2 or count_formula(n - k + 2, 2) > _MEMO_PAIRS:
+        return 1
+    total = count_formula(n, k)
+    for d in range(k - 3, 1, -1):  # the depth of level k - d, from 3 up
+        if comb(n, d + 1) * comb(n, d) // n * -(-total // count_formula(n, d)) > _MEMO_PAIRS:
+            return k - d - 1
+    return max(2, k - 2)
 
 
 def _walk(
@@ -254,15 +258,16 @@ def _walk(
     # suffixes fit the room left of _MEMO_PAIRS, else built again when the set
     # recurs.  An entry holds at most the level's suffixes, which r is chosen
     # to fit, or, where r falls back to 2, one block's 2-step suffixes, which
-    # hold the most at that depth and fit.  At r = 1 there is no memo: every
-    # leaf-parent streams its leaves in batches of at most _MEMO_PAIRS per
+    # hold the most at that depth and fit.  The memo has no room at k - r < 2,
+    # as each chain of 0 or 1 steps has its own set.  At r = 1 there is no memo:
+    # every leaf-parent streams its leaves in batches of at most _MEMO_PAIRS per
     # smaller entry i.  So memo and batches are bounded.
     memo: dict[_Blocks, Sequence] = {}
     shared = cache(leaf)
     text = isinstance(root, str)
     packed = "\n".join if text else tuple
     level = _memo_level(n, k)
-    room = _MEMO_PAIRS
+    room = _MEMO_PAIRS if k - level >= 2 else 0
     cut = max(_MEMO_PAIRS, 1)
 
     def steps(blocks: _Blocks) -> Iterable[tuple[int, int, int]]:
@@ -348,14 +353,9 @@ def _walk(
 def iter_sigma(n: int, k: int, cap: int = DEFAULT_CAP) -> Iterator[Chain]:
     """All k-prefixes over {1, ..., n}, lazily, in lexicographic step order;
     the arguments and ``cap`` (:class:`CapExceeded`) are checked at the call."""
-    made = cache(Transposition)  # the inner steps below the root, each made once
-
-    def grow(steps: tuple[Transposition, ...], i: int, j: int) -> tuple[Transposition, ...]:
-        # the root's steps are made once: keep no C(n, 2) table for them
-        return (*steps, made(i, j) if steps else Transposition(i, j))
-
-    # the walk's memo shares the leaves it keeps; streamed leaves are not kept
-    batches = _walk(n, k, cap, (), grow, Transposition)
+    # a node's steps are shared by all below it, and the walk's memo shares the
+    # leaves it keeps; streamed leaves are not kept
+    batches = _walk(n, k, cap, (), lambda steps, i, j: (*steps, Transposition(i, j)), Transposition)
     if k == 0:
         return iter((Chain(n, ()),))
     return (  # r = k - len(steps) steps in each run of ``flat``

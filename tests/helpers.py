@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from functools import lru_cache
 from itertools import combinations, permutations, product
+from math import comb
 
 import hypothesis.strategies as st
 
@@ -101,6 +103,68 @@ def reachable_blocks(n: int, d: int) -> list[tuple[tuple[int, ...], ...]]:
     for _ in range(d):
         sets = {tuple(sorted(split(blocks, i, j))) for blocks in sets for i, j in block_pairs(blocks)}
     return sorted(sets)
+
+
+def completions(blocks, r: int) -> int:
+    """Dénes' count of the r-step suffixes below a block set: a block of m
+    points is the walk's root for n = m, and blocks' steps shuffle."""
+    return _shuffled(tuple(sorted(map(len, blocks))), r)
+
+
+@lru_cache(maxsize=None)
+def _shuffled(sizes: tuple[int, ...], r: int) -> int:
+    if r == 1:
+        return sum(m * (m - 1) // 2 for m in sizes)
+    ways = [1] + [0] * r
+    for m in sizes:
+        for t in range(r, 0, -1):
+            ways[t] += sum(comb(t, s) * count_formula(m, s) * ways[t - s] for s in range(1, t + 1))
+    return ways[r]
+
+
+@lru_cache(maxsize=None)
+def _subtrees(blocks, left: int):
+    """The steps of a block set in lexicographic order, with ``left`` steps
+    still to take: the rank at which each step's subtree starts, the step, and
+    the block set after it, each as one tuple."""
+    starts, steps, children = [], [], []
+    start = 0
+    for i, j in block_pairs(blocks):
+        child = tuple(sorted(split(blocks, i, j)))
+        starts.append(start)
+        steps.append((i, j))
+        children.append(child)
+        start += completions(child, left - 1)
+    return tuple(starts), tuple(steps), tuple(children)
+
+
+def unrank_lex(n: int, k: int, index: int) -> Chain:
+    """The chain at ``index`` in the lexicographic order of the k-prefixes over
+    1..n, found from the root down by skipping whole subtrees by their sizes,
+    ``completions``: no chain before it is made."""
+    if not 0 <= index < count_formula(n, k):
+        raise IndexError(f"no chain at index {index} of the {count_formula(n, k)} for n={n}, k={k}")
+    blocks, steps = (tuple(range(1, n + 1)),), []
+    for left in range(k, 0, -1):
+        starts, pairs, children = _subtrees(blocks, left)
+        at = bisect_right(starts, index) - 1
+        index -= starts[at]
+        steps.append(pairs[at])
+        blocks = children[at]
+    return Chain.from_pairs(n, steps)
+
+
+def rank_lex(c: Chain) -> int:
+    """The index of a k-prefix in the lexicographic order of its n and k: the
+    sizes of the subtrees before it, summed from the root down.  A chain that
+    is not a member raises ValueError at its first step that no block holds."""
+    blocks, index = (tuple(range(1, c.n + 1)),), 0
+    for left, t in zip(range(len(c), 0, -1), c.steps):
+        starts, pairs, children = _subtrees(blocks, left)
+        at = pairs.index((t.i, t.j))
+        index += starts[at]
+        blocks = children[at]
+    return index
 
 
 def two_steps_by_children(blocks, root, grow, leaf):

@@ -27,12 +27,15 @@ from minfact.cli import run
 
 from helpers import (
     brute_sigma,
+    completions,
+    rank_lex,
     reachable_blocks,
     reachable_blocks_st,
     sigma,
     sigma_all,
     sorted_i_chains,
     two_steps_by_children,
+    unrank_lex,
     walk_suffixes,
 )
 
@@ -250,18 +253,6 @@ def _level(n, k, r):
     return comb(n, k - r + 1) * comb(n, k - r) // n * -(-count_formula(n, k) // count_formula(n, k - r))
 
 
-def _completions(blocks, r):
-    # Dénes' count of the suffixes below a block set: a block of m points is
-    # the walk's root for n = m, and blocks' steps shuffle
-    if r == 1:
-        return sum(len(b) * (len(b) - 1) // 2 for b in blocks)
-    ways = [1] + [0] * r
-    for m in map(len, blocks):
-        for t in range(r, 0, -1):
-            ways[t] += sum(comb(t, s) * count_formula(m, s) * ways[t - s] for s in range(1, t + 1))
-    return ways[r]
-
-
 def _same(chains, expected):
     # compared in step, so that neither list is held
     return all(c == d for c, d in zip_longest(chains, expected))
@@ -314,12 +305,36 @@ class TestLeafMemo:
         assert all(_level(n, k, r) > budget for r in range(2, k - 1))
         assert (level == 2) == (k >= 2 and count_formula(n - k + 2, 2) <= budget)
 
+    def test_level_climbs_to_what_a_full_scan_picks(self, monkeypatch):
+        # the climb stops at the first level whose estimate misses, as the
+        # estimate never falls as r grows; so it picks what a scan of every r
+        # in 2..k-2 picks, with its fallback to 2, or 1, where none fits
+        def scanned(n, k, budget):
+            fits = [r for r in range(2, k - 1) if _level(n, k, r) <= budget]
+            return max(fits, default=2 if k >= 2 and count_formula(n - k + 2, 2) <= budget else 1)
+
+        for budget in (0, 40, 1 << 14, 1 << 16, 1 << 17, 1 << 20):
+            monkeypatch.setattr(chains, "_MEMO_PAIRS", budget)
+            for n in range(1, 80):
+                for k in range(n + 1):
+                    assert chains._memo_level(n, k) == scanned(n, k, budget), (n, k, budget)
+
+    @pytest.mark.parametrize("n,k,level", [(4000, 2000, 1), (20000, 10000, 1), (20000, 19990, 2)])
+    def test_level_is_cheap_at_any_size(self, n, k, level):
+        # a scan of every level evaluates O(k) big estimates, seconds' worth at
+        # (4000, 2000); the climb needs one small count where the largest 2-step
+        # entry misses, and at (20000, 19990), whose entry of 12 points fits,
+        # one estimate, of level 3
+        start = time.perf_counter()
+        assert chains._memo_level(n, k) == level
+        assert time.perf_counter() - start < 0.1
+
     @pytest.mark.parametrize("n", range(3, 10))
     def test_largest_two_step_entry_is_one_block(self, n):
         # what the fallback to level 2 sizes: of the sets d = k - 2 steps from
         # the root, the one block of n - d points has the most 2-step suffixes
         for d in range(n - 2):
-            assert max(_completions(blocks, 2) for blocks in reachable_blocks(n, d)) == count_formula(n - d, 2)
+            assert max(completions(blocks, 2) for blocks in reachable_blocks(n, d)) == count_formula(n - d, 2)
 
     @pytest.mark.parametrize("n", range(2, 7))
     def test_completions_count_the_suffixes(self, n):
@@ -332,7 +347,7 @@ class TestLeafMemo:
                 for c, count in below.items():
                     phi = intermediate(c, d).inverse() * Permutation.long_cycle(n)
                     blocks = tuple(cycle for cycle in phi.cycles() if len(cycle) > 1)
-                    assert _completions(blocks, k - d) == count, (c, k)
+                    assert completions(blocks, k - d) == count, (c, k)
 
     def test_refused_entries_are_built_not_walked_under(self, monkeypatch):
         # at a budget of 2^17, (8, 7) keeps 5 steps, and more than fits: the
@@ -370,15 +385,17 @@ class TestLeafMemo:
         assert largest(8, 7) <= chains._MEMO_PAIRS
 
     def test_memo_stays_within_its_budget(self, monkeypatch):
-        # at (16, 3) the 120 chains of one step take 2-step entries, 465,920
-        # suffixes in all, and the memo may keep 1 << 16 of them.  This grow
-        # makes no heads, so a kept suffix is one 8-byte slot, its shared leaf,
-        # which the memo counts as half a suffix: 1 MiB for 1 << 17 slots, and
-        # less than 1.5 MiB with the entry being built
+        # at (11, 4) the 1,815 chains of two steps take the 2-step entries of
+        # their 825 block sets, 614,922 suffixes in all, and the memo may keep
+        # 1 << 16 of them.  This grow makes no heads, so a kept suffix is one
+        # 8-byte slot, its shared leaf, which the memo counts as half a suffix:
+        # 1 MiB for 1 << 17 slots, and less than 1.5 MiB with the entry being
+        # built.  (16, 3) would show nothing: its sets, one step from the root,
+        # are never kept
         def peak() -> int:
             tracemalloc.start()
             try:
-                for _ in chains._walk(16, 3, 10**6, (), lambda acc, i, j: acc, lambda i, j: (i, j)):
+                for _ in chains._walk(11, 4, 10**6, (), lambda acc, i, j: acc, lambda i, j: (i, j)):
                     pass
                 return tracemalloc.get_traced_memory()[1]
             finally:
@@ -393,24 +410,23 @@ class TestLeafMemo:
     @pytest.mark.parametrize("fold", ["text", "json", "chain"])
     def test_no_kept_value_is_a_row(self, fold):
         # every value the memo keeps holds the r = k - d step suffixes of a block
-        # set d steps from the root, whose blocks hold n - 1 - d steps, and r is
-        # at least 2: a leaf-parent's row of leaves streams, and is never kept
-        root, grow, leaf = _FOLDS[fold]
+        # set d steps from the root, whose blocks hold n - 1 - d steps.  r is at
+        # least 2, as a leaf-parent's row of leaves streams, and so is d, as each
+        # chain of 0 or 1 steps has a block set of its own, never met again: so
+        # (16, 3) and (25, 2), keyed 1 and 0 steps from the root, keep nothing
         for n in range(1, 9):
             for k in range(1, n):
-                batches = chains._walk(n, k, 10**6, root, grow, leaf)
-                recall = batches.gi_frame.f_locals["recall"]
-                memo = recall.__closure__[recall.__code__.co_freevars.index("memo")].cell_contents
-                for _ in batches:
-                    pass
-                for blocks, kept in memo.items():
-                    r = k - n + 1 + sum(len(b) - 1 for b in blocks)
-                    suffixes = _completions(blocks, r)
+                for blocks, kept in _walked_memo(n, k, fold).items():
+                    d = n - 1 - sum(len(b) - 1 for b in blocks)
+                    r = k - d
+                    suffixes = completions(blocks, r)
+                    assert d >= 2 and r >= 2, (n, k, blocks)
                     if fold == "chain":
-                        assert r >= 2 and len(kept) == r * suffixes, (n, k, blocks)
+                        assert len(kept) == r * suffixes, (n, k, blocks)
                     else:
                         steps = kept.count("(" if fold == "text" else "[")
-                        assert r >= 2 and kept.count("\n") + 1 == suffixes and steps == r * suffixes, (n, k, blocks)
+                        assert kept.count("\n") + 1 == suffixes and steps == r * suffixes, (n, k, blocks)
+        assert _walked_memo(16, 3, fold) == _walked_memo(25, 2, fold) == {}
 
     def test_streamed_chains_keep_nothing(self):
         # at k = 2 every leaf-parent streams: iter_sigma(3000, 2) must not keep
@@ -433,6 +449,17 @@ _FOLDS = {
 }
 
 
+def _walked_memo(n, k, fold):
+    # the memo of a walk over 1..n in this fold, from the ``memo`` cell of the
+    # ``recall`` that its generator holds, once the walk is exhausted
+    batches = chains._walk(n, k, 10**6, *_FOLDS[fold])
+    recall = batches.gi_frame.f_locals["recall"]
+    memo = recall.__closure__[recall.__code__.co_freevars.index("memo")].cell_contents
+    for _ in batches:
+        pass
+    return memo
+
+
 class TestTwoStepEntries:
     # The walk cuts a 2-step entry from its block set's own pairs: each pair is
     # a head and keeps the pairs that do not cross it.  That must give what the
@@ -453,6 +480,39 @@ class TestTwoStepEntries:
         n, blocks = drawn
         for fold in _FOLDS.values():
             assert walk_suffixes(n, *fold)(blocks, 2) == two_steps_by_children(blocks, *fold)
+
+
+class TestLexRank:
+    # unrank_lex and rank_lex reach a chain from the root by the sizes of the
+    # subtrees they skip, with no walk: they must agree with iter_sigma's order
+    # at every index for n <= 7, on the first chains of walks far too large to
+    # check by brute force, and with each other at ranks spread over them
+
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_every_index(self, n):
+        for k in range(n + 1):
+            index = -1
+            for index, c in enumerate(iter_sigma(n, k)):
+                assert unrank_lex(n, k, index) == c and rank_lex(c) == index, (k, index)
+            assert index + 1 == count_formula(n, k)
+            with pytest.raises(IndexError):
+                unrank_lex(n, k, index + 1)
+
+    @pytest.mark.parametrize("n,k", [(20, 4), (30, 3), (12, 6)])
+    def test_first_chains_of_large_walks(self, n, k):
+        for index, c in enumerate(islice(iter_sigma(n, k, cap=count_formula(n, k)), 3000)):
+            assert unrank_lex(n, k, index) == c and rank_lex(c) == index, index
+
+    @pytest.mark.parametrize("n,k", [(20, 6), (30, 4), (12, 8)])
+    def test_ranks_across_large_walks(self, n, k):
+        total = count_formula(n, k)
+        for index in [*range(0, total, total // 97 + 1), total - 1]:
+            c = unrank_lex(n, k, index)
+            assert len(c) == k and validate(c).is_member and rank_lex(c) == index, index
+
+    def test_rank_refuses_non_members(self):
+        with pytest.raises(ValueError):
+            rank_lex(Chain.parse("(1 3)(2 4)", 4))
 
 
 class TestInvolute:
