@@ -76,10 +76,6 @@ def _print_chain(chain: Chain, fmt: str) -> None:
     print(json.dumps(chain.to_json()) if fmt == "json" else str(chain))
 
 
-def _print_pair(pair: PairAB, fmt: str) -> None:
-    _print_ab(pair.n, pair.a, pair.b, fmt)
-
-
 def _print_ab(n: int, a: tuple[int, ...], b: frozenset[int], fmt: str) -> None:
     print(json.dumps({"n": n, "a": list(a), "b": sorted(b)}) if fmt == "json"
           else f"a={_format_ints(a)} b={_format_ints(sorted(b))}")
@@ -160,7 +156,8 @@ def _cmd_map(args: argparse.Namespace) -> int:
 
 
 def _cmd_section(args: argparse.Namespace) -> int:
-    _print_pair(section(_chain_from_args(args)), args.format)
+    s = section(_chain_from_args(args))
+    _print_ab(s.n, s.a, s.b, args.format)
     return 0
 
 

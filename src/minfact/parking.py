@@ -130,6 +130,8 @@ def residue(inp: ParkingInput) -> int:
 
 def shift_value(x: int, t: int, n: int) -> int:
     """x + t reduced into 1..n."""
+    if n < 1:
+        raise ValueError("n must be >= 1")
     return (x - 1 + t) % n + 1
 
 

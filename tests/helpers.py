@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from bisect import bisect_right
+from collections import Counter
 from functools import lru_cache
 from itertools import combinations, permutations, product
 from math import comb
@@ -188,6 +189,80 @@ def walk_suffixes(n: int, root, grow, leaf):
     batches = chains._walk(n, n - 1, n**n, root, grow, leaf)
     recall = batches.gi_frame.f_locals["recall"]
     return recall.__closure__[recall.__code__.co_freevars.index("suffixes")].cell_contents
+
+
+def blocks_of(steps) -> tuple[tuple[int, ...], ...] | None:
+    """The cycles of a chain's step product, right factor first, each as the
+    sorted tuple of its points, or None unless they are increasing and
+    noncrossing, as those of a k-prefix's product are: they are the blocks of
+    a noncrossing partition, read as increasing cycles (Stanley, "Parking
+    functions and noncrossing partitions", 1997; Biane, "Parking functions of
+    types A and B", 2002).  The product is a dict on the moved points alone,
+    so no work grows with n."""
+    image: dict[int, int] = {}
+    for t in steps:
+        # right-multiplying by (i j) swaps the images at i and j
+        image[t.i], image[t.j] = image.get(t.j, t.j), image.get(t.i, t.i)
+    # below_long_cycle_geometric's stack scan over the moved points: a fixed
+    # point opens no block and is handed none, so its step of the scan does nothing
+    owner: dict[int, int] = {}
+    stack: list[int] = []
+    blocks: dict[int, list[int]] = {}
+    for x in sorted(x for x, y in image.items() if y != x):
+        y = image[x]
+        block = owner.get(x, x)
+        if block != x and stack[-1] != block:
+            return None
+        if y > x:
+            owner[y] = block
+            if block == x:
+                stack.append(x)
+        elif y != block:
+            return None
+        else:
+            stack.pop()
+        blocks.setdefault(block, []).append(x)
+    return tuple(map(tuple, blocks.values()))
+
+
+def is_member(steps) -> bool:
+    """Membership on the support: the product's blocks exist and have norm k."""
+    blocks = blocks_of(steps)
+    return blocks is not None and sum(map(len, blocks)) - len(blocks) == len(steps)
+
+
+def rebuild(blocks, i_seq) -> tuple[Transposition, ...]:
+    """The member chain whose product has these blocks (sorted tuples, as
+    ``blocks_of`` gives them) and whose i-sequence is ``i_seq``, built from
+    the left with no braid move.
+
+    Step l takes the block C holding a_l, at position s.  A left factor
+    (a_l C[t]) splits C into C[s:t] and C[:s] + C[t:], and the later steps
+    factor each block of m points in m - 1 steps whose i's lie in it.  So the
+    later i's in C[s:t], those equal to a_l included, number t - s - 1; the
+    rule takes the first t > s at which they do, the step of the
+    parking-function bijection for maximal chains of noncrossing partitions
+    (Stanley, "Parking functions and noncrossing partitions", 1997; Biane,
+    "Parking functions of types A and B", 2002).  Raises ValueError when no
+    t does: then no member has these blocks and this i-sequence."""
+    holder = {x: block for block in blocks for x in block}
+    later = Counter(i_seq)
+    steps = []
+    for a in i_seq:
+        later[a] -= 1
+        c = holder.get(a, (a,))
+        s = c.index(a)
+        seen = 0
+        for t in range(s + 1, len(c)):
+            seen += later[c[t - 1]]
+            if seen == t - s - 1:
+                break
+        else:
+            raise ValueError(f"no member has blocks {tuple(blocks)} and i-sequence {tuple(i_seq)}")
+        steps.append(Transposition(a, c[t]))
+        for part in (c[s:t], c[:s] + c[t:]):
+            holder.update(dict.fromkeys(part, part))
+    return tuple(steps)
 
 
 def park_by_walking(inp: ParkingInput) -> tuple[ParkingOutcome, tuple[CarTrace, ...]]:

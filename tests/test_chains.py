@@ -54,6 +54,11 @@ class TestChainType:
         assert data == {"n": 8, "steps": [[3, 8], [5, 7], [1, 8], [3, 7]]}
         assert Chain.from_json(data) == WORKED
 
+    def test_iterates_over_its_steps(self):
+        assert list(WORKED) == list(WORKED.steps)
+        assert len(WORKED) == 4
+        assert list(Chain(3, ())) == []
+
     def test_rejects_steps_outside_ground_set(self):
         with pytest.raises(ValueError):
             Chain.from_pairs(3, [(1, 4)])

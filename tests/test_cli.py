@@ -10,7 +10,7 @@ import pytest
 
 import minfact
 from minfact import surjection
-from minfact.cli import _print_pair, build_parser, run
+from minfact.cli import _print_ab, build_parser, run
 
 
 def lines(capsys):
@@ -76,7 +76,7 @@ class TestMapSectionFiber:
             for k in range(n):
                 for c in minfact.iter_sigma(n, k):
                     for pair in minfact.fiber(c):
-                        _print_pair(pair, fmt)
+                        _print_ab(pair.n, pair.a, pair.b, fmt)
                     expected = capsys.readouterr().out
                     args = parser.parse_args(
                         ["fiber", "--chain", json.dumps(c.to_json()), "--format", fmt]

@@ -124,6 +124,12 @@ class TestShiftPair:
         assert shift_value(8, 2, 8) == 2
         assert shift_value(1, 0, 8) == 1
 
+    @pytest.mark.parametrize("n", [0, -2])
+    def test_shift_value_needs_a_ground_set(self, n):
+        # unchecked, n = 0 divides by zero and n = -2 sends 1 to 0, outside 1..n
+        with pytest.raises(ValueError, match="n must be >= 1"):
+            shift_value(1, 1, n)
+
 
 class TestNormalize:
     def test_worked_example(self):

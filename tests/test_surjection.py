@@ -51,6 +51,10 @@ class TestPairAB:
         assert data == {"n": 8, "a": [1, 3, 7, 1], "b": [1, 3, 5, 6, 7]}
         assert PairAB.from_json(data) == WORKED_PAIR
 
+    def test_k_is_the_length_of_a(self):
+        assert WORKED_PAIR.k == len(WORKED_PAIR.a) == 4
+        assert PairAB(3, (), {2}).k == 0
+
     def test_orbit_is_free(self):
         for pair in (WORKED_PAIR, PairAB(3, (), {2})):
             orbit = pair.orbit()
