@@ -272,7 +272,7 @@ def _walk(
 
     def steps(blocks: _Blocks) -> Iterable[tuple[int, int, int]]:
         # (i, block, position) by i; a block's last point has no larger partner,
-        # and a lone block, such as the root's, is in order already
+        # and a lone block, such as the root's, streams in order with no copy
         if len(blocks) == 1:
             return zip(blocks[0], repeat(0), range(len(blocks[0]) - 1))
         return sorted((i, b, s) for b, block in enumerate(blocks) for s, i in enumerate(block[:-1]))

@@ -84,9 +84,27 @@ def _print_ab(n: int, a: tuple[int, ...], b: frozenset[int], fmt: str) -> None:
 def _cmd_count(args: argparse.Namespace) -> int:
     # Decimal prints every digit past CPython's 4300-digit limit on str() of
     # an int (3.10.7 and later); imported here, as only count needs its 0.2 MiB
-    from decimal import Decimal
+    import decimal
 
-    print(Decimal(count_formula(args.n, args.k)))
+    # Decimal(x) is quadratic in the digits, so an x past `small` bits is split
+    # by bit length and joined as hi * 2**w + lo, exactly, at the largest precision
+    small = 40_000
+    powers: dict[int, decimal.Decimal] = {}
+
+    def power(w: int) -> decimal.Decimal:  # 2**w, for w a power of 2
+        if w not in powers:
+            powers[w] = decimal.Decimal(1 << w) if w <= small else power(w // 2) ** 2
+        return powers[w]
+
+    def convert(x: int) -> decimal.Decimal:
+        if x.bit_length() <= small:
+            return decimal.Decimal(x)
+        w = 1 << (x.bit_length() - 1).bit_length() - 1  # largest power of 2 below x's bit length
+        return convert(x >> w) * power(w) + convert(x & (1 << w) - 1)
+
+    with decimal.localcontext() as context:
+        context.prec, context.Emax = decimal.MAX_PREC, decimal.MAX_EMAX
+        print(convert(count_formula(args.n, args.k)))
     return 0
 
 
@@ -140,13 +158,8 @@ def _cmd_validate(args: argparse.Namespace) -> int:
     if args.format == "json":
         print(json.dumps(report.to_json()))
     else:
-        def mark(ok: bool) -> str:
-            return "yes" if ok else "no"
-
-        print(f"member: {mark(report.is_member)}")
-        print(f"geodesic: {mark(report.is_geodesic)}")
-        print(f"below: {mark(report.is_below)}")
-        print(f"nondecreasing: {mark(report.is_nondecreasing)}")
+        for name, ok in report.to_json().items():
+            print(f"{name.removeprefix('is_')}: {'yes' if ok else 'no'}")
     return 0
 
 
@@ -178,10 +191,7 @@ def _cmd_park(args: argparse.Namespace) -> int:
     if args.format == "json":
         payload = outcome.to_json()
         if args.trace:
-            payload["trace"] = [
-                {"entry": v.entry, "probed": list(v.probed), "parked": v.parked}
-                for v in visits
-            ]
+            payload["trace"] = [v.to_json() for v in visits]
         print(json.dumps(payload))
     else:
         if args.trace:

@@ -83,6 +83,9 @@ class CarTrace:
     probed: tuple[int, ...]
     parked: int
 
+    def to_json(self) -> dict:
+        return {"entry": self.entry, "probed": list(self.probed), "parked": self.parked}
+
 
 def _park(entries: tuple[int, ...], open_spaces: Iterable[int]) -> tuple[tuple[int, ...], int]:
     # the taken spaces, aligned with the entries, and the leftover open space

@@ -250,14 +250,18 @@ def below_long_cycle_geometric(p: Permutation) -> bool:
     element and no two cycles cross, i.e. no quadruple i < j < k < l has
     i, k in one cycle and j, l in another.
     """
-    # One scan over 1..n.  A point that no smaller point maps to opens a block,
-    # and x < p(x) hands x's block on to p(x); the cycles are increasing iff
-    # each x with p(x) <= x maps to its block's first point.  Open blocks form
-    # a stack, and a point whose block is open but not on top is a crossing
-    # (Kreweras).
-    owner = [0] * (p.n + 1)
+    return _noncrossing(enumerate(p.images, start=1), [0] * (p.n + 1))
+
+
+def _noncrossing(points: Iterable[tuple[int, int]], owner: list[int] | dict[int, int]) -> bool:
+    # One scan over the pairs (x, p(x)) by increasing x; ``owner`` holds the
+    # block handed to each point, 0 for none.  A point that no smaller point maps
+    # to opens a block, and x < p(x) hands x's block on to p(x); the cycles are
+    # increasing iff each x with p(x) <= x maps to its block's first point.  Open
+    # blocks form a stack, and a point whose block is open but not on top is a
+    # crossing (Kreweras).  A fixed point opens no block, so it may be left out.
     stack: list[int] = []
-    for x, y in enumerate(p.images, start=1):
+    for x, y in points:
         block = owner[x] or x
         if block != x and stack[-1] != block:
             return False

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from bisect import bisect_right
-from collections import Counter
+from collections import Counter, defaultdict
 from functools import lru_cache
 from itertools import combinations, permutations, product
 from math import comb
@@ -29,6 +29,7 @@ from minfact import (
     validate,
 )
 from minfact import chains
+from minfact.perms import _noncrossing
 
 
 def all_permutations(n: int) -> list[Permutation]:
@@ -203,26 +204,20 @@ def blocks_of(steps) -> tuple[tuple[int, ...], ...] | None:
     for t in steps:
         # right-multiplying by (i j) swaps the images at i and j
         image[t.i], image[t.j] = image.get(t.j, t.j), image.get(t.i, t.i)
-    # below_long_cycle_geometric's stack scan over the moved points: a fixed
-    # point opens no block and is handed none, so its step of the scan does nothing
-    owner: dict[int, int] = {}
-    stack: list[int] = []
-    blocks: dict[int, list[int]] = {}
-    for x in sorted(x for x, y in image.items() if y != x):
-        y = image[x]
-        block = owner.get(x, x)
-        if block != x and stack[-1] != block:
-            return None
-        if y > x:
-            owner[y] = block
-            if block == x:
-                stack.append(x)
-        elif y != block:
-            return None
-        else:
-            stack.pop()
-        blocks.setdefault(block, []).append(x)
-    return tuple(map(tuple, blocks.values()))
+    moved = sorted((x, y) for x, y in image.items() if y != x)
+    owner: defaultdict[int, int] = defaultdict(int)
+    if not _noncrossing(moved, owner):
+        return None
+    # a block's least point is the one the scan handed no block; the block's
+    # cycle is increasing, so following the images from there reads it sorted
+    blocks = []
+    for x, _ in moved:
+        if not owner[x]:
+            block = [x]
+            while image[block[-1]] != x:
+                block.append(image[block[-1]])
+            blocks.append(tuple(block))
+    return tuple(blocks)
 
 
 def is_member(steps) -> bool:

@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import time
+from decimal import Decimal
 from pathlib import Path
 
 import pytest
@@ -33,6 +34,12 @@ class TestCount:
             chunk = digits[start:start + 1000]
             value = value * 10 ** len(chunk) + int(chunk)
         assert value == minfact.count_formula(10000, 1200)
+
+    def test_prints_counts_split_by_bit_length(self, capsys):
+        # 156,572 bits, several times past the bit length above which count
+        # splits a number before converting it
+        assert run(["count", "-n", "50000", "-k", "8000"]) == 0
+        assert capsys.readouterr().out == f"{Decimal(minfact.count_formula(50000, 8000))}\n"
 
     def test_k_at_least_n_is_zero_at_once(self, capsys):
         start = time.perf_counter()
@@ -430,8 +437,8 @@ def test_closed_pipe_ends_verify_quietly():
 
 @pytest.mark.skipif(sys.platform != "linux", reason="needs Linux's RLIMIT_AS")
 def test_out_of_memory_is_one_error_line():
-    # as under `ulimit -v 400000`: the chain's one-line product of 10^8
-    # entries cannot be allocated
+    # as under `ulimit -v 400000`: neither the chain's one-line product of 10^8
+    # entries nor the trace of a car probing 10^8 - 1 spaces can be allocated
     env = {**os.environ, "PYTHONPATH": str(Path(minfact.__file__).resolve().parents[1])}
     limit = 400 * 2**20
     code = (
@@ -439,13 +446,14 @@ def test_out_of_memory_is_one_error_line():
         f"resource.setrlimit(resource.RLIMIT_AS, ({limit}, {limit})); "
         "from minfact.cli import main; main()"
     )
-    proc = subprocess.run(
-        [sys.executable, "-c", code, "validate", "-n", "100000000", "--chain", "()"],
-        capture_output=True,
-        env=env,
-        timeout=60,
-    )
-    assert (proc.returncode, proc.stdout, proc.stderr) == (1, b"", b"error: out of memory\n")
+    for argv in (
+        ["validate", "-n", "100000000", "--chain", "()"],
+        ["park", "-n", "100000000", "--a", "2", "--b", "1,2", "--trace"],
+    ):
+        proc = subprocess.run(
+            [sys.executable, "-c", code, *argv], capture_output=True, env=env, timeout=60
+        )
+        assert (proc.returncode, proc.stdout, proc.stderr) == (1, b"", b"error: out of memory\n"), argv
 
 
 @pytest.mark.skipif(sys.platform != "linux", reason="reads VmHWM from /proc/<pid>/status")

@@ -1,3 +1,5 @@
+from collections import defaultdict
+
 import pytest
 from hypothesis import given
 import hypothesis.strategies as st
@@ -9,6 +11,7 @@ from minfact import (
     multiply,
     precedes,
 )
+from minfact.perms import _noncrossing
 
 from helpers import all_permutations, all_transpositions, permutations_st
 
@@ -162,6 +165,15 @@ class TestGeometricCharacterization:
         target = Permutation.long_cycle(n)
         for p in all_permutations(n):
             assert below_long_cycle_geometric(p) == precedes(p, target)
+
+    def test_scan_of_the_moved_points_alone_agrees(self):
+        # the premise of running the scan on a chain's support: a fixed point
+        # opens no block and is handed none, so skipping it changes nothing
+        perms = [p for n in range(1, 7) for p in all_permutations(n)]
+        assert len(perms) == 873
+        for p in perms:
+            moved = [(x, y) for x, y in enumerate(p.images, start=1) if y != x]
+            assert _noncrossing(moved, defaultdict(int)) == below_long_cycle_geometric(p)
 
     @given(st.data())
     def test_agrees_with_order_oracle_near_the_long_cycle(self, data):
