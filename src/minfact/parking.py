@@ -90,9 +90,11 @@ class CarTrace:
 def _park(entries: tuple[int, ...], open_spaces: Iterable[int]) -> tuple[tuple[int, ...], int]:
     # the taken spaces, aligned with the entries, and the leftover open space
     free = sorted(open_spaces)
-    spaces = [0] * len(entries)
-    for l in range(len(entries) - 1, -1, -1):
-        spaces[l] = free.pop(bisect_right(free, entries[l]) % len(free))
+    spaces = []
+    for e in reversed(entries):
+        i = bisect_right(free, e)
+        spaces.append(free.pop(i) if i < len(free) else free.pop(0))
+    spaces.reverse()
     return tuple(spaces), free[0]
 
 
@@ -149,8 +151,8 @@ def shift_pair(a: Iterable[int], b: Iterable[int], t: int, n: int) -> _Pair:
 
 
 def _shift(a: tuple[int, ...], b: frozenset[int], t: int, n: int) -> _Pair:
-    # shift_value inlined: verify rotates every pair of every fibre
-    return tuple((x - 1 + t) % n + 1 for x in a), frozenset((x - 1 + t) % n + 1 for x in b)
+    # shift_value inlined: _normalize shifts every rotation that verify checks
+    return tuple([(x - 1 + t) % n + 1 for x in a]), frozenset([(x - 1 + t) % n + 1 for x in b])
 
 
 def normalize(
@@ -170,7 +172,11 @@ def normalize(
 def _normalize(
     n: int, a: tuple[int, ...], b: frozenset[int]
 ) -> tuple[tuple[int, ...], frozenset[int], int]:
-    t = (1 - _park(a, b)[1]) % n
+    rho = _park(a, b)[1]
+    if rho == 1:
+        # the second park would repark this very pair
+        return a, b, 0
+    t = (1 - rho) % n
     a2, b2 = _shift(a, b, t, n)
     rho = _park(a2, b2)[1]
     if rho != 1:

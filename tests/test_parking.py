@@ -130,6 +130,17 @@ class TestShiftPair:
         with pytest.raises(ValueError, match="n must be >= 1"):
             shift_value(1, 1, n)
 
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_kernel_shifts_by_any_integer(self, n):
+        # PairAB.shifted hands the kernel any t, negative or past n
+        pairs = [(i.entries, i.open_spaces) for k in range(n) for i in _exhaustive_inputs(n, k)]
+        for t in range(-2 * n, 2 * n + 1):
+            to = {x: shift_value(x, t, n) for x in range(1, n + 1)}
+            for a, b in pairs:
+                assert minfact.parking._shift(a, b, t, n) == (
+                    tuple(to[x] for x in a), frozenset(to[x] for x in b)
+                ), (a, b, t)
+
 
 class TestNormalize:
     def test_worked_example(self):
@@ -149,6 +160,24 @@ class TestNormalize:
     def test_idempotent(self):
         a, b, _ = normalize((4, 2, 2), {1, 2, 5, 6}, 6)
         assert normalize(a, b, 6) == (a, b, 0)
+
+    @pytest.mark.parametrize("n,k", [(1, 0), (4, 0), (4, 2), (5, 3), (5, 4)])
+    def test_parks_once_at_residue_one_else_twice(self, n, k, monkeypatch):
+        real, parked = minfact.parking._park, []
+
+        def counting(entries, open_spaces):
+            parked.append(entries)
+            return real(entries, open_spaces)
+
+        monkeypatch.setattr(minfact.parking, "_park", counting)
+        for inp in _exhaustive_inputs(n, k):
+            parked.clear()
+            a, b = inp.entries, inp.open_spaces
+            a2, b2, t = minfact.parking._normalize(n, a, b)
+            if real(a, b)[1] == 1:
+                assert (a2, b2, t) == (a, b, 0) and len(parked) == 1, inp
+            else:
+                assert t != 0 and len(parked) == 2, inp
 
     def test_wrong_rotation_raises(self, monkeypatch):
         shift = minfact.parking._shift

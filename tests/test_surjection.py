@@ -24,6 +24,7 @@ from minfact import (
     verify,
 )
 from minfact.cli import run
+from minfact.parking import _shift
 
 from helpers import act_on_sequence, all_permutations, sigma, sigma_all, verify_oracle
 
@@ -357,6 +358,43 @@ def test_non_member_from_the_walk_never_passes(tail_agrees, monkeypatch):
         return
     assert not report.passed
     assert report.rows[2].counts_match
+
+
+def _record_verify(n, monkeypatch):
+    # verify(n) and, per call of gamma's tail, its section and then every pair
+    # that normalize is handed until the next call
+    real_tail, real_normalize = surjection._gamma_normalized, surjection._normalize
+    calls = []
+
+    def tail(a, b):
+        calls.append(((a, b), []))
+        return real_tail(a, b)
+
+    def normalizing(m, a, b):
+        calls[-1][1].append((a, b))
+        return real_normalize(m, a, b)
+
+    monkeypatch.setattr(surjection, "_gamma_normalized", tail)
+    monkeypatch.setattr(surjection, "_normalize", normalizing)
+    return verify(n), calls
+
+
+def test_verify_normalizes_n_distinct_rotations_per_chain(monkeypatch):
+    # the faults below are planted in two pairs; this pins the work on every chain
+    n = 5
+    report, calls = _record_verify(n, monkeypatch)
+    assert report.passed
+    assert len(calls) == sum(row.enumerated for row in report.rows)
+    for (a, b), rotations in calls:
+        assert len(rotations) == n and len(set(rotations)) == n, (a, b)
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_verify_rotates_as_the_shift_kernel(n, monkeypatch):
+    # verify's orbit table hands normalize the rotation of each section by t = 0..n-1
+    _, calls = _record_verify(n, monkeypatch)
+    for (a, b), rotations in calls:
+        assert rotations == [_shift(a, b, t, n) for t in range(n)], (a, b)
 
 
 class TestVerifyCanFail:
