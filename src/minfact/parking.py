@@ -142,6 +142,8 @@ def shift_value(x: int, t: int, n: int) -> int:
 
 def shift_pair(a: Iterable[int], b: Iterable[int], t: int, n: int) -> _Pair:
     """Add ``t`` modulo n to every entry of ``a`` and every element of ``b``."""
+    if n < 1:
+        raise ValueError("n must be >= 1")
     a = tuple(a)
     b = frozenset(b)
     for x in (*a, *b):

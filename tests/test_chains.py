@@ -169,27 +169,6 @@ class TestEnumerate:
         text = "\n".join(map(str, iter_sigma(n, k)))
         assert hashlib.sha256(text.encode()).hexdigest() == digest
 
-    @pytest.mark.parametrize(
-        "fmt,digest",
-        [
-            ("text", "3963a08c565da591d7ce8f78a9b490b7ce313ab104a414b27c2590b22d669fe6"),
-            ("json", "2ce33074a2ed08e187476134a40e29ef9edfb2f18a9417374d56de261ecabcb2"),
-        ],
-    )
-    def test_deepest_walk_lines_pinned(self, fmt, digest, capsys):
-        # the bytes of `minfact enumerate -n 8 -k 7`, where the memo keeps
-        # suffixes of 4 steps; CI pins -n 9 -k 8 as well
-        out = _enumerated(capsys, 8, 7, fmt)
-        assert hashlib.sha256(out.encode()).hexdigest() == digest
-
-    def test_json_lines_pinned(self, capsys):
-        # the bytes of `minfact enumerate -n 8 -k 4 --format json`; the
-        # benchmark pins only the text format
-        assert run(["enumerate", "-n", "8", "-k", "4", "--format", "json"]) == 0
-        out = capsys.readouterr().out
-        digest = "0ceb2d2ce330c52035dc93160aec83db25c7bbe0dc132734c719e44f700ab8b0"
-        assert hashlib.sha256(out.encode()).hexdigest() == digest
-
     def test_cap_guard(self):
         with pytest.raises(CapExceeded):
             enumerate_sigma(8, 4, cap=1000)

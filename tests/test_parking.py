@@ -130,6 +130,12 @@ class TestShiftPair:
         with pytest.raises(ValueError, match="n must be >= 1"):
             shift_value(1, 1, n)
 
+    @pytest.mark.parametrize("n", [0, -2])
+    def test_shift_pair_needs_a_ground_set(self, n):
+        # unchecked, the empty pair passed every range check and came back
+        with pytest.raises(ValueError, match="n must be >= 1"):
+            shift_pair((), (), 1, n)
+
     @pytest.mark.parametrize("n", range(1, 7))
     def test_kernel_shifts_by_any_integer(self, n):
         # PairAB.shifted hands the kernel any t, negative or past n
