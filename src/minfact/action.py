@@ -6,8 +6,8 @@ by swapping the two steps and conjugating the one with the smaller i by the
 other — a braid move that leaves the step product unchanged.  These moves
 satisfy the Coxeter relations, so every permutation of positions acts the
 same way through any decomposition into adjacent transpositions.
-``apply_permutation`` therefore bubble-sorts the permutation's one-line form
-and applies each swap's move as the sort makes it, keeping no word.
+``apply_permutation`` therefore insertion-sorts the permutation's one-line
+form and applies each swap's move as the sort makes it, keeping no word.
 
 Projecting a chain to its i-sequence intertwines this action with the
 natural action on sequences and preserves stabilizers, so each orbit
@@ -97,18 +97,16 @@ def apply_permutation(c: Chain, p: Permutation) -> Chain:
 
 
 def _act(steps: tuple[Transposition, ...], keys: tuple[int, ...]) -> tuple[Transposition, ...]:
-    # bubble-sort ``keys``, making each swap's generator move: with keys p.images,
-    # p times the swaps' adjacent transpositions, in the order made, is the
-    # identity.  Equal keys never swap, so the i-sequence sorts stably.
+    # insertion-sort ``keys`` by adjacent swaps, one generator move per swap: with
+    # keys p.images, p times the swaps' adjacent transpositions, in the order
+    # made, is the identity.  Equal keys never swap, so the i-sequence sorts stably.
     w = list(keys)
-    changed = True
-    while changed:
-        changed = False
-        for l in range(1, len(w)):
-            if w[l - 1] > w[l]:
-                w[l - 1], w[l] = w[l], w[l - 1]
-                steps = _generator_move(steps, l)
-                changed = True
+    for m in range(1, len(w)):
+        l = m
+        while l and w[l - 1] > w[l]:
+            w[l - 1], w[l] = w[l], w[l - 1]
+            steps = _generator_move(steps, l)
+            l -= 1
     return steps
 
 

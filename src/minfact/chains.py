@@ -159,11 +159,7 @@ def intermediate(c: Chain, l: int) -> Permutation:
     identity."""
     if not 0 <= l <= len(c.steps):
         raise ValueError(f"prefix length {l} outside 0..{len(c.steps)}")
-    # right-multiplying by (i j) swaps the one-line entries at slots i and j
-    images = list(range(1, c.n + 1))
-    for t in c.steps[:l]:
-        images[t.i - 1], images[t.j - 1] = images[t.j - 1], images[t.i - 1]
-    return Permutation(tuple(images))
+    return Permutation.from_cycles(c.n, [(t.i, t.j) for t in c.steps[:l]])
 
 
 def validate(c: Chain) -> ValidityReport:

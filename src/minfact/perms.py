@@ -65,9 +65,7 @@ class Transposition:
     def as_permutation(self, n: int) -> Permutation:
         if self.j > n:
             raise ValueError(f"step {self} leaves the ground set 1..{n}")
-        images = list(range(1, n + 1))
-        images[self.i - 1], images[self.j - 1] = self.j, self.i
-        return Permutation(tuple(images))
+        return Permutation.from_cycles(n, [(self.i, self.j)])
 
     def __str__(self) -> str:
         return f"({self.i} {self.j})"
@@ -120,16 +118,19 @@ class Permutation:
         Disjointness is not required; overlapping cycles multiply like any
         other product.
         """
-        images = list(range(1, n + 1))
-        for cycle in reversed(list(cycles)):
+        cycles = list(cycles)
+        for cycle in reversed(cycles):
             if len(set(cycle)) != len(cycle):
                 raise ValueError(f"repeated element in cycle {tuple(cycle)}")
             for x in cycle:
                 if not 1 <= x <= n:
                     raise ValueError(f"cycle entry {x} outside 1..{n}")
-            # each cycle acts after the ones to its right
-            step = dict(zip(cycle, (*cycle[1:], *cycle[:1])))
-            images = [step.get(y, y) for y in images]
+        images = list(range(1, n + 1))
+        for cycle in cycles:
+            # right-multiplying by c moves the image at each c(x) to x
+            moved = [images[y - 1] for y in (*cycle[1:], *cycle[:1])]
+            for x, y in zip(cycle, moved):
+                images[x - 1] = y
         return cls(tuple(images))
 
     @classmethod

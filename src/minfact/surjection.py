@@ -17,7 +17,6 @@ enumeration.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import repeat
 from typing import Iterable, Iterator
 
 from .action import _act, projection
@@ -213,10 +212,9 @@ def _verify_row(n: int, k: int, chains: Iterable[Chain]) -> VerifyRow:
         member = _sorted_criterion(ordered)
         back = member and _gamma_normalized(a, b) == c.steps
         sections_ok = sections_ok and back
-        rotated_a = zip(*map(orbit.__getitem__, a)) if k else repeat((), n)
-        rotated_b = map(frozenset, zip(*map(orbit.__getitem__, b)))
+        rotations = zip(*map(orbit.__getitem__, (*a, *b)))
         fibers_ok = fibers_ok and back and all(
-            _normalize(n, a2, b2) == (a, b, -t % n)
-            for t, (a2, b2) in enumerate(zip(rotated_a, rotated_b))
+            _normalize(n, r[:k], frozenset(r[k:])) == (a, b, -t % n)
+            for t, r in enumerate(rotations)
         )
     return VerifyRow(k, count_formula(n, k), enumerated, sections_ok, fibers_ok)

@@ -29,6 +29,7 @@ from minfact import (
     validate,
 )
 from minfact import chains
+from minfact.action import _generator_move
 from minfact.perms import _noncrossing
 
 
@@ -303,6 +304,21 @@ def apply_word(chain: Chain, word) -> Chain:
     for l in word:
         chain = apply_generator(chain, l)
     return chain
+
+
+def act_by_bubbling(steps: tuple[Transposition, ...], keys) -> tuple[Transposition, ...]:
+    """The un-sort as ``action._act`` once made it: repeated bubble passes over
+    ``keys`` until nothing moves, one generator move per swap."""
+    w = list(keys)
+    changed = True
+    while changed:
+        changed = False
+        for l in range(1, len(w)):
+            if w[l - 1] > w[l]:
+                w[l - 1], w[l] = w[l], w[l - 1]
+                steps = _generator_move(steps, l)
+                changed = True
+    return steps
 
 
 def adjacent_transposition(l: int, k: int) -> Permutation:

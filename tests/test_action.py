@@ -19,6 +19,7 @@ from minfact import (
 )
 
 from helpers import (
+    act_by_bubbling,
     act_on_sequence,
     all_permutations,
     apply_word,
@@ -190,6 +191,33 @@ class TestApplyPermutation:
                 moves.clear()
                 apply_permutation(c, Permutation(tuple(images)))
                 pairs = [(x, y) for s, x in enumerate(images) for y in images[s + 1:]]
+                assert len(moves) == sum(x > y for x, y in pairs)
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_un_sort_equals_the_bubble_sort_oracle(self, n, monkeypatch):
+        # the insertion sort against the bubble passes it replaced, on the keys
+        # section sorts by (the i-sequence, ties included) and on shuffled
+        # positions as apply_permutation passes them; equal keys never swap, so
+        # the moves number the strict inversions of the keys
+        moves = []
+        real = action._generator_move
+
+        def counting(steps, l):
+            moves.append(l)
+            return real(steps, l)
+
+        monkeypatch.setattr(action, "_generator_move", counting)
+        rng = random.Random(2705)
+        for c in sigma_all(n):
+            keyings = [projection(c)]
+            for _ in range(3):
+                positions = list(range(1, len(c) + 1))
+                rng.shuffle(positions)
+                keyings.append(tuple(positions))
+            for keys in keyings:
+                moves.clear()
+                assert action._act(c.steps, keys) == act_by_bubbling(c.steps, keys)
+                pairs = [(x, y) for s, x in enumerate(keys) for y in keys[s + 1:]]
                 assert len(moves) == sum(x > y for x, y in pairs)
 
 

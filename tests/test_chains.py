@@ -7,6 +7,7 @@ from math import comb
 
 import pytest
 from hypothesis import given
+import hypothesis.strategies as st
 
 from minfact import chains
 from minfact import (
@@ -88,6 +89,26 @@ class TestIntermediate:
             intermediate(WORKED, 5)
         with pytest.raises(ValueError):
             intermediate(WORKED, -1)
+
+    @given(st.integers(2, 12), st.data())
+    def test_is_the_product_of_one_line_swaps(self, n, data):
+        # intermediate and as_permutation both go through from_cycles; the
+        # oracle builds each step's one-line swap by hand and multiplies, members
+        # or not
+        step = st.integers(1, n - 1).flatmap(
+            lambda i: st.tuples(st.just(i), st.integers(i + 1, n))
+        )
+        pairs = data.draw(st.lists(step, max_size=12))
+        c = Chain.from_pairs(n, pairs)
+        expected = Permutation.identity(n)
+        for l, (i, j) in enumerate(pairs):
+            assert intermediate(c, l) == expected
+            images = list(range(1, n + 1))
+            images[i - 1], images[j - 1] = j, i
+            swap = Permutation(tuple(images))
+            assert Transposition(i, j).as_permutation(n) == swap
+            expected = expected * swap
+        assert intermediate(c, len(pairs)) == expected
 
 
 class TestValidate:

@@ -18,6 +18,17 @@ def lines(capsys):
     return capsys.readouterr().out.strip().splitlines()
 
 
+def child_env():
+    # a subprocess imports minfact from the tree these tests import it from
+    return {**os.environ, "PYTHONPATH": str(Path(minfact.__file__).resolve().parents[1])}
+
+
+def peak_mib(pid):
+    with open(f"/proc/{pid}/status") as status:
+        line = next(line for line in status if line.startswith("VmHWM:"))
+    return int(line.split()[1]) / 1024
+
+
 class TestCount:
     def test_worked_value(self, capsys):
         assert run(["count", "-n", "8", "-k", "4"]) == 0
@@ -244,10 +255,9 @@ class TestPark:
     )
     def test_huge_n_parks_without_walking_the_circle(self, fmt, out):
         # the car entering after 3 wraps past 10^8 spaces to space 1
-        env = {**os.environ, "PYTHONPATH": str(Path(minfact.__file__).resolve().parents[1])}
         argv = ["park", "-n", "100000000", "--a", "3", "--b", "1,2", "--format", fmt]
         proc = subprocess.run(
-            [sys.executable, "-m", "minfact", *argv], capture_output=True, env=env, timeout=10
+            [sys.executable, "-m", "minfact", *argv], capture_output=True, env=child_env(), timeout=10
         )
         assert (proc.returncode, proc.stdout, proc.stderr) == (0, out, b"")
 
@@ -390,12 +400,11 @@ class TestExitCodes:
 
 def test_closed_pipe_ends_quietly():
     # as in `minfact enumerate -n 8 -k 4 | head -n 1`
-    env = {**os.environ, "PYTHONPATH": str(Path(minfact.__file__).resolve().parents[1])}
     proc = subprocess.Popen(
         [sys.executable, "-m", "minfact", "enumerate", "-n", "8", "-k", "4"],
         stdout=subprocess.PIPE,
         stderr=subprocess.PIPE,
-        env=env,
+        env=child_env(),
     )
     try:
         assert proc.stdout.readline() == b"(1 2)(2 3)(3 4)(4 5)\n"
@@ -414,12 +423,11 @@ def test_closed_pipe_ends_verify_quietly():
     # as in `minfact verify -n 8 | head -n 2`: each row is flushed when its k
     # is checked, so the closed pipe is met at the next row, long before the
     # last of the 262,144 chains of k = 7
-    env = {**os.environ, "PYTHONPATH": str(Path(minfact.__file__).resolve().parents[1])}
     proc = subprocess.Popen(
         [sys.executable, "-m", "minfact", "verify", "-n", "8"],
         stdout=subprocess.PIPE,
         stderr=subprocess.PIPE,
-        env=env,
+        env=child_env(),
     )
     try:
         assert proc.stdout.readline().split()[:2] == [b"k", b"formula"]
@@ -439,7 +447,6 @@ def test_closed_pipe_ends_verify_quietly():
 def test_out_of_memory_is_one_error_line():
     # as under `ulimit -v 400000`: neither the chain's one-line product of 10^8
     # entries nor the trace of a car probing 10^8 - 1 spaces can be allocated
-    env = {**os.environ, "PYTHONPATH": str(Path(minfact.__file__).resolve().parents[1])}
     limit = 400 * 2**20
     code = (
         "import resource; "
@@ -451,7 +458,7 @@ def test_out_of_memory_is_one_error_line():
         ["park", "-n", "100000000", "--a", "2", "--b", "1,2", "--trace"],
     ):
         proc = subprocess.run(
-            [sys.executable, "-c", code, *argv], capture_output=True, env=env, timeout=60
+            [sys.executable, "-c", code, *argv], capture_output=True, env=child_env(), timeout=60
         )
         assert (proc.returncode, proc.stdout, proc.stderr) == (1, b"", b"error: out of memory\n"), argv
 
@@ -461,16 +468,9 @@ def test_large_n_streams_in_flat_memory():
     # `enumerate -n 3000 -k 1` has 4,498,500 lines; nothing of the walk that
     # grows with them may be kept, so the first line comes at once and peak RSS
     # stays that of an idle interpreter with the CLI imported
-    env = {**os.environ, "PYTHONPATH": str(Path(minfact.__file__).resolve().parents[1])}
-
-    def peak_mib(pid):
-        with open(f"/proc/{pid}/status") as status:
-            line = next(line for line in status if line.startswith("VmHWM:"))
-        return int(line.split()[1]) / 1024
-
     def run_until(argv, lines):
         start = time.perf_counter()
-        proc = subprocess.Popen(argv, stdin=subprocess.PIPE, stdout=subprocess.PIPE, env=env)
+        proc = subprocess.Popen(argv, stdin=subprocess.PIPE, stdout=subprocess.PIPE, env=child_env())
         try:
             first = proc.stdout.readline()
             elapsed = time.perf_counter() - start
@@ -507,17 +507,11 @@ def test_fiber_streams_in_flat_memory():
     # the million rotations of the section are written as they are made, so
     # the first line comes once the section is made and peak RSS does not grow
     # while the pairs follow; a list of them took over 500 MiB.  Making the
-    # section checks membership in O(n) memory, about 140 MiB at this n
-    env = {**os.environ, "PYTHONPATH": str(Path(minfact.__file__).resolve().parents[1])}
-
-    def peak_mib(pid):
-        with open(f"/proc/{pid}/status") as status:
-            line = next(line for line in status if line.startswith("VmHWM:"))
-        return int(line.split()[1]) / 1024
-
+    # section checks membership in O(n) memory, a peak RSS of about 154 MiB at
+    # this n
     argv = [sys.executable, "-m", "minfact", "fiber", "-n", "1000000", "--chain", "(1 2)(2 3)"]
     start = time.perf_counter()
-    proc = subprocess.Popen(argv, stdout=subprocess.PIPE, env=env)
+    proc = subprocess.Popen(argv, stdout=subprocess.PIPE, env=child_env())
     try:
         first = proc.stdout.readline()
         elapsed = time.perf_counter() - start

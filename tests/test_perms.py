@@ -1,3 +1,4 @@
+import time
 from collections import defaultdict
 
 import pytest
@@ -241,6 +242,15 @@ class TestTextForm:
         with pytest.raises(ValueError) as exc:
             Permutation.from_cycles(3, cycles)
         assert str(exc.value) == message
+
+    def test_from_cycles_is_linear(self):
+        # one pass over each cycle's own points: 10^4 disjoint 2-cycles at
+        # n = 20,000 took 4.9 s when all n images were rebuilt per cycle
+        text = "".join(f"({x} {x + 1})" for x in range(1, 20_000, 2))
+        start = time.perf_counter()
+        p = Permutation.parse(text, 20_000)
+        assert time.perf_counter() - start < 0.5
+        assert p.images == tuple(x + 1 if x % 2 else x - 1 for x in range(1, 20_001))
 
     @pytest.mark.parametrize("bad", ["(1 2", "(1 9)", "(1 1)", "(a b)", "junk"])
     def test_parse_rejects_garbage(self, bad):
