@@ -110,8 +110,14 @@ def section(c: Chain) -> PairAB:
     sorted form of ``c`` together with 1.
     """
     _require_member(c)
+    return PairAB(c.n, *_section(c)[:2])
+
+
+def _section(c: Chain) -> tuple[tuple[int, ...], frozenset[int], tuple[Transposition, ...]]:
+    # section's A and B of a member, and the sorted form B is read from
     a = projection(c)
-    return PairAB(c.n, a, frozenset(t.j for t in _act(c.steps, a)) | {1})
+    ordered = _act(c.steps, a)
+    return a, frozenset(t.j for t in ordered) | {1}, ordered
 
 
 def fiber(c: Chain) -> list[PairAB]:
@@ -168,7 +174,7 @@ def verify(n: int, cap: int = DEFAULT_CAP) -> VerifyReport:
     k in 0..n-1.
 
     Per k the enumerated chains must match the formula count.  For every
-    enumerated chain ``c`` with section ``s``:
+    enumerated chain ``c`` with section ``s``, made by ``section``'s own kernel:
 
     - sections: ``c`` is a member, by ``check_sorted_criterion`` on its sorted
       form, and the tail of ``gamma`` after the rotation maps ``s`` to ``c``;
@@ -206,9 +212,7 @@ def _verify_row(n: int, k: int, chains: Iterable[Chain]) -> VerifyRow:
     fibers_ok = True
     for c in chains:
         enumerated += 1
-        a = projection(c)
-        ordered = _act(c.steps, a)
-        b = frozenset(t.j for t in ordered) | {1}
+        a, b, ordered = _section(c)
         member = _sorted_criterion(ordered)
         back = member and _gamma_normalized(a, b) == c.steps
         sections_ok = sections_ok and back

@@ -397,6 +397,80 @@ def test_verify_rotates_as_the_shift_kernel(n, monkeypatch):
         assert rotations == [_shift(a, b, t, n) for t in range(n)], (a, b)
 
 
+def _count_sections(monkeypatch) -> list:
+    made = []
+    real = surjection._section
+
+    def counting(c):
+        made.append(c)
+        return real(c)
+
+    monkeypatch.setattr(surjection, "_section", counting)
+    return made
+
+
+def test_verify_and_section_share_the_section_kernel(monkeypatch):
+    # verify makes each walk chain's section once, through the kernel that
+    # section and fiber call after the one membership check
+    made = _count_sections(monkeypatch)
+    report = verify(5)
+    assert report.passed
+    assert made == [c for k in range(5) for c in sigma(5, k)]
+    for call in (section, fiber):
+        made.clear()
+        call(WORKED_CHAIN)
+        assert made == [WORKED_CHAIN]
+
+
+def test_section_checks_membership_then_calls_the_kernel(monkeypatch):
+    made = _count_sections(monkeypatch)
+    checked = []
+    real = surjection._require_member
+
+    def requiring(c):
+        checked.append(len(made))
+        return real(c)
+
+    monkeypatch.setattr(surjection, "_require_member", requiring)
+    section(WORKED_CHAIN)
+    assert checked == [0] and made == [WORKED_CHAIN]
+
+
+class TestSectionKernelFault:
+    # the kernel hands back A reversed and the right B, so |B| stays k + 1 and
+    # every pair it makes is well formed; verify runs the same kernel, so it
+    # must see what section and fiber now get wrong
+
+    @pytest.fixture(autouse=True)
+    def reverse_a(self, monkeypatch):
+        real = surjection._section
+
+        def faulty(c):
+            a, b, ordered = real(c)
+            return a[::-1], b, ordered
+
+        monkeypatch.setattr(surjection, "_section", faulty)
+
+    def test_verify_fails_sections_and_fibres(self):
+        rows = verify(5).rows
+        assert all(r.counts_match for r in rows)
+        assert [(r.sections_ok, r.fibers_ok) for r in rows] == [
+            (True, True), (True, True), (False, False), (False, False), (False, False)
+        ]
+
+    def test_cli_exits_one(self, capsys):
+        assert run(["verify", "-n", "5"]) == 1
+        out = capsys.readouterr().out.splitlines()
+        marks = [line.split()[-2:] for line in out[1:-1]]
+        assert marks == [["ok", "ok"]] * 2 + [["FAIL", "FAIL"]] * 3
+        assert out[-1] == "FAIL"
+
+    def test_section_and_fiber_return_the_faulty_pair(self):
+        faulty = PairAB(8, (3, 1, 5, 3), (1, 3, 5, 7, 8))
+        assert section(WORKED_CHAIN) == faulty
+        assert fiber(WORKED_CHAIN)[0] == faulty
+
+
 class TestVerifyCanFail:
     # each fault is planted in exactly one chain or pair of verify(4)
 
